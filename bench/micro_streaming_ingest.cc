@@ -1,20 +1,26 @@
 // Microbenchmark for the live-monitoring hot paths: StreamingArchiver
 // ingest throughput (records/s) vs. the batch Archiver over the same log,
-// and the cost of a mid-stream Snapshot() as the open-operation table
-// grows. Ingest must keep up with a platform writing records at job
-// speed; Snapshot() runs once per watch poll, so it prices the live view.
+// the cost of a mid-stream Snapshot() as the open-operation table grows,
+// and feed-follow throughput (records/s a TcpRecordSource pulls from a
+// LogFeedServer over loopback). Ingest must keep up with a platform
+// writing records at job speed; Snapshot() runs once per watch poll, so
+// it prices the live view.
 //
 //   build/bench/micro_streaming_ingest [--benchmark_filter=...]
 
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "granula/archive/archiver.h"
+#include "granula/live/record_source.h"
 #include "granula/live/streaming_archiver.h"
 #include "granula/model/performance_model.h"
 #include "granula/monitor/job_logger.h"
+#include "granula/serve/feed.h"
 
 namespace granula::core {
 namespace {
@@ -101,6 +107,52 @@ void BM_MidStreamSnapshot(benchmark::State& state) {
       static_cast<double>(archiver.stats().finalized_operations);
 }
 BENCHMARK(BM_MidStreamSnapshot)->Arg(8)->Arg(64)->Arg(256);
+
+// Feed follow: each iteration a fresh TcpRecordSource drains the whole
+// log from one in-process LogFeedServer over loopback — the HTTP request,
+// the chunked stream, and line decoding, on the follower's side. Real
+// time, since the feed's sender thread does half the work. Iterations are
+// fixed because a feed connection lingers until the log grows or the
+// feed stops, and the feed caps concurrent connections at 32.
+void BM_FeedFollow(benchmark::State& state) {
+  std::vector<LogRecord> records =
+      MakeLog(static_cast<int>(state.range(0)), 16);
+  const std::string log =
+      (std::filesystem::temp_directory_path() / "granula_bench_feed.jsonl")
+          .string();
+  if (!WriteLogRecords(log, records).ok()) {
+    state.SkipWithError("cannot write the feed log");
+    return;
+  }
+  serve::LogFeedServer::Options options;
+  options.path = log;
+  serve::LogFeedServer feed(options);
+  if (!feed.Start().ok()) {
+    state.SkipWithError("cannot start the feed");
+    return;
+  }
+  for (auto _ : state) {
+    TcpRecordSource::Options follow;
+    follow.port = feed.port();
+    TcpRecordSource source(follow);
+    size_t got = 0;
+    while (got < records.size() && !source.lost()) {
+      got += source.PollOnce().records.size();
+    }
+    benchmark::DoNotOptimize(got);
+  }
+  feed.Stop();
+  std::remove(log.c_str());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(records.size()));
+  state.counters["records"] = static_cast<double>(records.size());
+}
+BENCHMARK(BM_FeedFollow)
+    ->Arg(64)
+    ->Arg(256)
+    ->Iterations(16)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace granula::core

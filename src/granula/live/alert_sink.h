@@ -13,23 +13,24 @@
 
 namespace granula::core {
 
-// Pluggable destination for live alerts. `granula watch` and the fleet
-// supervisor route every freshly raised alert — choke-point findings,
-// retry/failure alerts, stall detections — to each configured sink, so
-// alerts can go to the terminal, a machine-readable file, or a webhook
-// (live/retry_sink.h) without the monitoring loop knowing the difference.
+// Pluggable destination for live alerts. The fleet supervisor (and so
+// `granula watch`, a one-job fleet) routes every freshly raised alert —
+// choke-point findings, retry/failure alerts, stall detections — to each
+// configured sink, so alerts can go to the terminal, a machine-readable
+// file, or a webhook (live/retry_sink.h) without the monitoring loop
+// knowing the difference.
 class AlertSink {
  public:
   virtual ~AlertSink() = default;
   // Called once per distinct alert, in the order raised.
   virtual void OnAlert(const LiveAlert& alert) = 0;
-  // Called when the watch ends; sinks with buffers should drain them.
+  // Called when the supervisor drains; sinks with buffers should drain
+  // them.
   virtual void Flush() {}
 };
 
 // One JSON object describing the alert; reparses with common/json.h.
-// The "job" key appears only when the alert carries a job name, so
-// single-job watch output is unchanged.
+// The "job" key appears only when the alert carries a job name.
 Json AlertToJson(const LiveAlert& alert);
 
 // Prints the classic "ALERT [severity] kind operation: description"

@@ -19,9 +19,9 @@ struct LiveAlert {
   // root in flight — i.e. the analyst saw it before the job finished.
   bool in_flight = false;
   uint64_t snapshot_index = 0;  // which Snapshot() raised it first
-  // The job the alert belongs to. Empty for single-job `granula watch`
-  // (where the job is implicit); the fleet supervisor stamps it so one
-  // shared sink can serve many jobs.
+  // The job the alert belongs to, stamped by the fleet supervisor so one
+  // shared sink can serve many jobs (`granula watch`'s job is "watch").
+  // Empty for alerts raised outside a fleet.
   std::string job;
 };
 
@@ -39,8 +39,8 @@ class AlertTracker {
   // raised alerts, in detector severity order.
   std::vector<LiveAlert> Update(const PerformanceArchive& archive);
 
-  // Raises a finding synthesized outside the detectors (e.g. the watch
-  // loop's wall-clock stall detector). Deduplicated by the same
+  // Raises a finding synthesized outside the detectors (e.g. the fleet's
+  // wall-clock stall detector). Deduplicated by the same
   // (kind, operation) key; returns the alert when it is new.
   std::optional<LiveAlert> RaiseExternal(Finding finding, bool in_flight);
 

@@ -23,8 +23,8 @@ bool ValidJobName(const std::string& name) {
   return true;
 }
 
-// PerformanceArchive is move-only (the root subtree); FinalArchive()
-// hands out deep copies.
+// PerformanceArchive is move-only (the root subtree); Archive() hands out
+// deep copies.
 PerformanceArchive CopyArchive(const PerformanceArchive& archive) {
   PerformanceArchive out;
   out.job_metadata = archive.job_metadata;
@@ -86,10 +86,10 @@ Result<FleetSupervisor::Job*> FleetSupervisor::FindOrCreateJobLocked(
     }
     GRANULA_ASSIGN_OR_RETURN(model, options_.model_resolver(model_name));
   }
-  auto job = std::make_unique<Job>();
+  auto job = std::make_unique<Job>(std::move(model));
   job->name = name;
   job->transport = transport;
-  job->archiver.emplace(std::move(model), options_.archiver);
+  job->archiver.emplace(job->model, options_.archiver);
   job->alerts = AlertTracker(options_.chokepoints);
   job->last_progress_s = now_();
   Job* raw = job.get();
@@ -142,32 +142,34 @@ Status FleetSupervisor::Start() {
     return Status::FailedPrecondition("fleet supervisor is already running");
   }
   stopping_.store(false, std::memory_order_release);
-  supervisor_ = std::thread([this] { SupervisorLoop(); });
+  supervisor_ = std::thread([this] {
+    while (!stopping_.load(std::memory_order_acquire)) {
+      Tick();
+      // Sleep in small slices so Drain() never waits out a long poll
+      // interval just to stop the loop.
+      double remaining_ms = options_.poll_interval_ms;
+      while (remaining_ms > 0 && !stopping_.load(std::memory_order_acquire)) {
+        double slice_ms = std::min(remaining_ms, 20.0);
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(slice_ms));
+        remaining_ms -= slice_ms;
+      }
+    }
+  });
   return Status::OK();
 }
 
-void FleetSupervisor::SupervisorLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    std::vector<Job*> jobs;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.ticks;
-      jobs.reserve(jobs_.size());
-      for (auto& [name, job] : jobs_) {
-        if (!job->finalized) jobs.push_back(job.get());
-      }
-    }
-    for (Job* job : jobs) TickJob(job, now_());
-    // Sleep in small slices so Drain() never waits out a long poll
-    // interval just to stop the loop.
-    double remaining_ms = options_.poll_interval_ms;
-    while (remaining_ms > 0 && !stopping_.load(std::memory_order_acquire)) {
-      double slice_ms = std::min(remaining_ms, 20.0);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(slice_ms));
-      remaining_ms -= slice_ms;
+void FleetSupervisor::Tick() {
+  std::vector<Job*> jobs;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.ticks;
+    jobs.reserve(jobs_.size());
+    for (auto& [name, job] : jobs_) {
+      if (!job->finalized) jobs.push_back(job.get());
     }
   }
+  for (Job* job : jobs) TickJob(job, now_());
 }
 
 void FleetSupervisor::EmitAlerts(Job* job, std::vector<LiveAlert> fresh) {
@@ -187,10 +189,7 @@ void FleetSupervisor::EmitAlerts(Job* job, std::vector<LiveAlert> fresh) {
   }
 }
 
-void FleetSupervisor::TickJob(Job* job, double now_s) {
-  // The supervisor thread is the only toucher of archiver/tracker/source
-  // after registration; the lock covers only the push queue, counters,
-  // and state fields other threads read.
+bool FleetSupervisor::PullRecords(Job* job) {
   std::vector<LogRecord> pending;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -198,30 +197,46 @@ void FleetSupervisor::TickJob(Job* job, double now_s) {
                    std::make_move_iterator(job->queue.end()));
     job->queue.clear();
   }
-  if (job->source != nullptr) {
-    RecordSource::Poll poll = job->source->PollOnce();
-    for (LogRecord& record : poll.records) {
-      pending.push_back(std::move(record));
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    job->malformed += poll.malformed_lines;
-    stats_.malformed += poll.malformed_lines;
-    job->reconnects = job->source->reconnects();
+  RecordSource::Poll poll;
+  if (job->source != nullptr) poll = job->source->PollOnce();
+  if (poll.rotated) {
+    // The job restarted with a fresh log: restart assembly. Alert dedup
+    // state survives on purpose — the analyst already saw those.
+    job->archiver.emplace(job->model, options_.archiver);
   }
+  for (LogRecord& record : poll.records) pending.push_back(std::move(record));
+  if (!pending.empty()) job->archiver->AppendAll(pending);
 
-  if (!pending.empty()) {
-    job->archiver->AppendAll(pending);
+  std::lock_guard<std::mutex> lock(mu_);
+  job->malformed += poll.malformed_lines;
+  stats_.malformed += poll.malformed_lines;
+  job->records += pending.size();
+  stats_.records += pending.size();
+  if (poll.rotated) {
+    ++job->rotations;
+    job->archive.reset();  // the old run's snapshot
+  }
+  if (job->source != nullptr) job->reconnects = job->source->reconnects();
+  job->archiver_stats = job->archiver->stats();
+  job->watermark = job->archiver->watermark();
+  return !pending.empty() || poll.rotated;
+}
+
+void FleetSupervisor::TickJob(Job* job, double now_s) {
+  if (PullRecords(job)) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      job->records += pending.size();
-      stats_.records += pending.size();
       job->last_progress_s = now_s;
       job->stall_raised = false;  // woke back up; re-arm the detector
       if (job->state == JobState::kStalled) job->state = JobState::kStreaming;
     }
+    // The in-flight snapshot the alerts are raised on is also the job's
+    // Archive() until a newer one (or the final one) replaces it.
     Result<PerformanceArchive> snapshot = job->archiver->Snapshot();
     if (snapshot.ok()) {
       EmitAlerts(job, job->alerts.Update(*snapshot));
+      std::lock_guard<std::mutex> lock(mu_);
+      job->archive = std::move(*snapshot);
     }
   }
 
@@ -280,8 +295,8 @@ void FleetSupervisor::FinalizeJob(Job* job, bool source_lost_alert) {
   std::string error;
   std::optional<PerformanceArchive> kept;
   if (final_snapshot.ok()) {
-    // One last analysis over the sealed tree, like the watch loop's, so a
-    // short job still gets its findings.
+    // One last analysis over the sealed tree, so a short job still gets
+    // its findings.
     EmitAlerts(job, job->alerts.Update(*final_snapshot));
     state = final_snapshot->status == ArchiveStatus::kComplete
                 ? JobState::kComplete
@@ -305,7 +320,8 @@ void FleetSupervisor::FinalizeJob(Job* job, bool source_lost_alert) {
   job->source_lost = source_lost_alert;
   job->archive_name = archive_name;
   job->error = error;
-  job->final_archive = std::move(kept);
+  job->archiver_stats = job->archiver->stats();
+  if (kept.has_value()) job->archive = std::move(kept);
   job->queue.clear();
   if (job->source != nullptr) job->reconnects = job->source->reconnects();
   job->source.reset();  // closes the transport
@@ -317,7 +333,7 @@ void FleetSupervisor::FinalizeJob(Job* job, bool source_lost_alert) {
 }
 
 void FleetSupervisor::Drain() {
-  bool was_running = running_.exchange(false, std::memory_order_acq_rel);
+  running_.store(false, std::memory_order_release);
   stopping_.store(true, std::memory_order_release);
   if (supervisor_.joinable()) supervisor_.join();
 
@@ -332,32 +348,10 @@ void FleetSupervisor::Drain() {
     }
     sinks = sinks_;
   }
-  (void)was_running;
   for (Job* job : open) {
-    // One last pass per job: drain the push queue and give a live source
+    // One last pull per job: drain the push queue and give a live source
     // a final poll so records already on the wire are not dropped.
-    std::vector<LogRecord> pending;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      pending.assign(std::make_move_iterator(job->queue.begin()),
-                     std::make_move_iterator(job->queue.end()));
-      job->queue.clear();
-    }
-    if (job->source != nullptr && !job->source->lost()) {
-      RecordSource::Poll poll = job->source->PollOnce();
-      for (LogRecord& record : poll.records) {
-        pending.push_back(std::move(record));
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      job->malformed += poll.malformed_lines;
-      stats_.malformed += poll.malformed_lines;
-    }
-    if (!pending.empty()) {
-      job->archiver->AppendAll(pending);
-      std::lock_guard<std::mutex> lock(mu_);
-      job->records += pending.size();
-      stats_.records += pending.size();
-    }
+    PullRecords(job);
     FinalizeJob(job, job->source != nullptr && job->source->lost());
   }
   for (const std::shared_ptr<AlertSink>& sink : sinks) sink->Flush();
@@ -394,23 +388,32 @@ std::vector<FleetSupervisor::JobStatus> FleetSupervisor::JobStatuses() const {
     status.queued = job->queue.size();
     status.alerts = job->alert_count;
     status.reconnects = job->reconnects;
+    status.rotations = job->rotations;
     status.source_lost = job->source_lost;
     status.archive_name = job->archive_name;
     status.error = job->error;
+    status.archiver = job->archiver_stats;
+    status.watermark = job->watermark;
     out.push_back(std::move(status));
   }
   return out;
 }
 
-Result<PerformanceArchive> FleetSupervisor::FinalArchive(
+Result<PerformanceArchive> FleetSupervisor::Archive(
     const std::string& job) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = jobs_.find(job);
-  if (it == jobs_.end() || !it->second->finalized ||
-      !it->second->final_archive.has_value()) {
-    return Status::NotFound("no finalized archive for job '" + job + "'");
+  if (it == jobs_.end() || !it->second->archive.has_value()) {
+    return Status::NotFound("no archive yet for job '" + job + "'");
   }
-  return CopyArchive(*it->second->final_archive);
+  return CopyArchive(*it->second->archive);
+}
+
+std::vector<LiveAlert> FleetSupervisor::Alerts(const std::string& job) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = jobs_.find(job);
+  if (it == jobs_.end()) return {};
+  return it->second->alerts.alerts();
 }
 
 }  // namespace granula::core

@@ -25,12 +25,16 @@
 
 namespace granula::core {
 
-// Multi-job generalization of the watch loop: one StreamingArchiver +
-// AlertTracker per job, all driven by a single supervisor thread. Jobs
-// arrive two ways:
+// The one live-monitoring loop: one StreamingArchiver + AlertTracker per
+// job, all driven by Tick() — from the supervisor thread Start() spawns
+// (the `granula fleet` daemon), or from the caller's own loop
+// (`granula watch` is a one-job fleet it ticks itself). Jobs arrive two
+// ways:
 //
 //  * Pull — AddSource() registers a RecordSource (local file or TCP
-//    follower) the supervisor polls each tick.
+//    follower) the supervisor polls each tick. A file source that reports
+//    rotation (the log shrank: the job restarted) restarts its job's
+//    assembly; alert dedup state survives, since those were already seen.
 //  * Push — Ingest() accepts a batch of parsed records (the serve stack's
 //    POST /jobs/<name>/records route lands here from HTTP worker
 //    threads); batches park in a bounded per-job queue the supervisor
@@ -53,7 +57,7 @@ struct FleetOptions {
   double poll_interval_ms = 20;  // supervisor tick
   MonotonicClock now;            // injectable for deterministic stall tests
   // Where finalized archives land. Empty: archives are kept in memory
-  // only (FinalArchive(), for tests and embedding).
+  // only (Archive(), for tests and embedding).
   std::string repo_dir;
   // Resolves the model for a job registered with a model name (push
   // registration's ?model=...). Null: every job uses the default model.
@@ -69,6 +73,7 @@ class FleetSupervisor {
     kIncomplete,  // finalized without a closed root (lost source / drain)
   };
   static const char* JobStateName(JobState state);
+  using ArchiverStats = StreamingArchiver::Stats;
 
   struct JobStatus {
     std::string name;
@@ -81,9 +86,12 @@ class FleetSupervisor {
     uint64_t queued = 0;         // pushed records waiting for the supervisor
     uint64_t alerts = 0;
     uint64_t reconnects = 0;     // pull sources only
+    uint64_t rotations = 0;      // file sources: assembly restarts
     bool source_lost = false;
     std::string archive_name;    // repository name once finalized
     std::string error;           // save/model failure, if any
+    ArchiverStats archiver;  // the current assembly's counters
+    SimTime watermark;       // and its stream watermark
   };
 
   struct Stats {
@@ -107,8 +115,8 @@ class FleetSupervisor {
 
   // Sinks receive every alert from every job (LiveAlert::job names the
   // origin). Register before Start(); sinks outlive the supervisor's use
-  // of them (shared_ptr). OnAlert is only ever called from the supervisor
-  // thread and Drain(), never concurrently.
+  // of them (shared_ptr). OnAlert is only ever called from Tick() and
+  // Drain(), never concurrently.
   void AddAlertSink(std::shared_ptr<AlertSink> sink);
 
   // Registers a pull job. Fails on a duplicate name, a bad name, or an
@@ -126,6 +134,13 @@ class FleetSupervisor {
                         std::vector<LogRecord> records, uint64_t malformed,
                         const std::string& model_name = "");
 
+  // One pass of the loop: every open job drains its push queue, polls its
+  // source, re-snapshots and alerts when records arrived, then finalizes
+  // (root closed, source lost) or checks for a stall. Counts in
+  // stats().ticks. Call it either from your own loop or via Start(),
+  // never both.
+  void Tick();
+  // Spawns the supervisor thread: Tick() every poll_interval_ms.
   Status Start();
   // Stops the loop and finalizes every open job (incomplete unless its
   // root already closed), then flushes every sink. Idempotent.
@@ -135,16 +150,26 @@ class FleetSupervisor {
   Stats stats() const;
   std::vector<JobStatus> JobStatuses() const;
 
-  // The finalized archive of `job` (kept when repo_dir is empty, or
-  // alongside the repository save otherwise). NotFound before
-  // finalization.
-  Result<PerformanceArchive> FinalArchive(const std::string& job) const;
+  // The newest archive of `job`: its latest in-flight snapshot (the one
+  // its alerts were raised on) until it finalizes, the final archive
+  // after (kept whether or not repo_dir also saved it). NotFound until a
+  // snapshot exists.
+  Result<PerformanceArchive> Archive(const std::string& job) const;
+
+  // Every alert raised for `job` so far, each with its latest metric (a
+  // raised finding keeps updating while the job runs). The trackers
+  // belong to the ticking thread: call this from the thread that calls
+  // Tick(), or after Drain().
+  std::vector<LiveAlert> Alerts(const std::string& job) const;
 
  private:
   struct Job {
+    explicit Job(PerformanceModel job_model) : model(std::move(job_model)) {}
+
     std::string name;
     std::string transport;
     std::unique_ptr<RecordSource> source;  // null for push jobs
+    PerformanceModel model;  // to restart assembly on rotation
     std::optional<StreamingArchiver> archiver;
     AlertTracker alerts;
     std::deque<LogRecord> queue;  // pushed records awaiting the supervisor
@@ -154,6 +179,7 @@ class FleetSupervisor {
     uint64_t shed_batches = 0;
     uint64_t shed_records = 0;
     uint64_t reconnects = 0;
+    uint64_t rotations = 0;
     uint64_t alert_count = 0;
     double last_progress_s = 0;
     bool stall_raised = false;
@@ -161,18 +187,22 @@ class FleetSupervisor {
     bool finalized = false;
     std::string archive_name;
     std::string error;
-    std::optional<PerformanceArchive> final_archive;
+    ArchiverStats archiver_stats;  // copies for JobStatuses()
+    SimTime watermark;
+    std::optional<PerformanceArchive> archive;  // newest snapshot
   };
 
   // Creates (or finds) the job entry; caller holds mu_.
   Result<Job*> FindOrCreateJobLocked(const std::string& name,
                                      const std::string& transport,
                                      const std::string& model_name);
-  void SupervisorLoop();
-  // One tick of one job; caller does NOT hold mu_ (the supervisor thread
-  // is the only archiver/tracker toucher, so only queue/counter access
-  // locks).
+  // One tick of one job; caller does NOT hold mu_ (the ticking thread is
+  // the only archiver/tracker/source toucher, so only queue, counter and
+  // snapshot access locks).
   void TickJob(Job* job, double now_s);
+  // Moves the job's pushed records and one source poll into its archiver
+  // (restarting assembly on rotation). True when anything arrived.
+  bool PullRecords(Job* job);
   void FinalizeJob(Job* job, bool source_lost_alert);
   void EmitAlerts(Job* job, std::vector<LiveAlert> fresh);
 

@@ -23,38 +23,30 @@ TcpRecordSource::TcpRecordSource(Options options)
 
 uint64_t TcpRecordSource::bytes_consumed() const { return offset_; }
 
+// Mirrors the --source syntax, tcp://HOST:PORT[/PATH], with the default
+// "/" left implicit.
 std::string TcpRecordSource::describe() const {
-  if (options_.http_path.empty()) {
-    return StrFormat("tcp://%s:%d", options_.host.c_str(), options_.port);
-  }
-  return StrFormat("http://%s:%d%s", options_.host.c_str(), options_.port,
-                   options_.http_path.c_str());
+  return StrFormat("tcp://%s:%d%s", options_.host.c_str(), options_.port,
+                   options_.path == "/" ? "" : options_.path.c_str());
 }
 
 bool TcpRecordSource::TryConnect() {
   Result<TcpSocket> sock =
       TcpConnect(options_.host, options_.port, options_.connect_timeout_ms);
   if (!sock.ok()) return false;
-  // Reads bound each poll; writes (the one-line handshake) get a generous
+  // Reads bound each poll; writes (the request head) get a generous
   // fixed deadline so a wedged peer cannot hold the supervisor.
   (void)sock->SetTimeouts(options_.read_timeout_ms, /*send_ms=*/2000);
-  std::string handshake;
-  if (options_.http_path.empty()) {
-    handshake = StrFormat("FEED %llu\n",
-                          static_cast<unsigned long long>(offset_));
-  } else {
-    handshake = StrFormat(
-        "GET %s HTTP/1.1\r\nHost: %s\r\nRange: bytes=%llu-\r\n"
-        "Connection: keep-alive\r\n\r\n",
-        options_.http_path.c_str(), options_.host.c_str(),
-        static_cast<unsigned long long>(offset_));
-  }
-  if (!sock->WriteAll(handshake).ok()) return false;
+  const std::string request = StrFormat(
+      "GET %s HTTP/1.1\r\nHost: %s\r\nRange: bytes=%llu-\r\n"
+      "Connection: keep-alive\r\n\r\n",
+      options_.path.c_str(), options_.host.c_str(),
+      static_cast<unsigned long long>(offset_));
+  if (!sock->WriteAll(request).ok()) return false;
   socket_ = std::move(*sock);
-  got_payload_this_conn_ = false;
-  partial_.clear();  // un-consumed tail bytes will be re-sent from offset_
+  lines_.DropPartial();  // un-consumed tail bytes are re-sent from offset_
   framing_.clear();
-  headers_done_ = options_.http_path.empty();
+  headers_done_ = false;
   chunk_remaining_ = 0;
   chunk_skip_ = 0;
   ++connects_;
@@ -86,10 +78,6 @@ void TcpRecordSource::RecordFailure() {
 
 bool TcpRecordSource::DecodePayload(std::string_view bytes,
                                     std::string& payload) {
-  if (options_.http_path.empty()) {
-    payload.append(bytes.data(), bytes.size());
-    return true;
-  }
   framing_.append(bytes.data(), bytes.size());
   if (!headers_done_) {
     size_t end = framing_.find("\r\n\r\n");
@@ -139,36 +127,12 @@ bool TcpRecordSource::DecodePayload(std::string_view bytes,
 }
 
 void TcpRecordSource::ProcessPayload(std::string_view payload, Poll& poll) {
-  const size_t entering = partial_.size() + payload.size();
-  partial_.append(payload.data(), payload.size());
-  size_t begin = 0;
-  for (;;) {
-    size_t eol = partial_.find('\n', begin);
-    if (eol == std::string::npos) break;
-    std::string_view line(partial_.data() + begin, eol - begin);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (!line.empty()) {
-      Result<LogRecord> record = LogRecord::ParseJsonl(line);
-      if (record.ok()) {
-        poll.records.push_back(std::move(*record));
-      } else {
-        ++poll.malformed_lines;
-        ++total_malformed_;
-      }
-    }
-    begin = eol + 1;
-  }
-  partial_.erase(0, begin);
-  if (partial_.size() > options_.max_buffer_bytes) {
-    // An endless line is garbage by contract: drop it, count it, and let
-    // the resume offset move past it so a reconnect does not refetch it.
-    ++poll.malformed_lines;
-    ++total_malformed_;
-    partial_.clear();
-  }
   // Everything that entered and is no longer buffered was consumed —
-  // complete lines plus any dropped oversize junk.
-  offset_ += entering - partial_.size();
+  // complete lines plus any dropped oversize junk — so a reconnect
+  // resumes right after it.
+  const size_t entering = lines_.buffered() + payload.size();
+  poll.malformed_lines += lines_.Feed(payload, poll.records);
+  offset_ += entering - lines_.buffered();
 }
 
 RecordSource::Poll TcpRecordSource::PollOnce() {
@@ -193,7 +157,6 @@ RecordSource::Poll TcpRecordSource::PollOnce() {
           return poll;
         }
         if (!payload.empty()) {
-          got_payload_this_conn_ = true;
           consecutive_failures_ = 0;
           ProcessPayload(payload, poll);
         }

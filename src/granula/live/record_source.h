@@ -16,8 +16,9 @@ namespace granula::core {
 // LogTailer::PollOnce()'s: each poll returns the records that arrived
 // since the previous one, never blocks beyond one bounded read, and never
 // fails — a source that is down simply returns nothing until it recovers
-// (or declares itself lost). StreamingArchiver and the watch/fleet loops
-// are byte-for-byte indifferent to which transport feeds them.
+// (or declares itself lost). StreamingArchiver and the fleet loop (which
+// `granula watch` runs too) are byte-for-byte indifferent to which
+// transport feeds them.
 class RecordSource {
  public:
   using Poll = LogTailer::Poll;
@@ -40,8 +41,8 @@ class RecordSource {
   virtual std::string describe() const = 0;
 };
 
-// Today's local tailer behind the interface. Rotation detection and
-// partial-line buffering are LogTailer's own.
+// The local tailer behind the interface. Rotation detection
+// (Poll::rotated) and partial-line buffering are LogTailer's own.
 class FileRecordSource : public RecordSource {
  public:
   explicit FileRecordSource(std::string path) : tailer_(std::move(path)) {}
@@ -55,39 +56,32 @@ class FileRecordSource : public RecordSource {
 };
 
 // A networked record stream: follows a remote JSONL log served by
-// `granula feed` (or anything speaking the same two protocols) and
-// survives the feed's failures. Two wire modes:
-//
-//  * Raw FEED (http_path empty): the client sends "FEED <offset>\n" and
-//    the server streams the log's bytes from that offset, forever.
-//  * HTTP chunked (http_path set): the client sends a GET with
-//    "Range: bytes=<offset>-" and the server answers 200 with
-//    Transfer-Encoding: chunked, each chunk carrying raw log bytes.
+// `granula feed` (or any HTTP server answering the same request) and
+// survives the feed's failures. The wire is plain HTTP/1.1: the client
+// sends "GET <path>" with "Range: bytes=<offset>-", and the server answers
+// 200 with Transfer-Encoding: chunked, each chunk carrying raw log bytes
+// from that offset on, forever.
 //
 // Robustness contract, mirroring LogTailer's:
-//  * A line is consumed only once its '\n' arrived; a partial line stays
-//    buffered across polls, bounded by max_buffer_bytes — an endless line
-//    is dropped and counted malformed, never ballooning memory.
+//  * Lines follow JsonlLineDecoder's rule: a line is consumed only once its
+//    '\n' arrived, a partial line stays buffered across polls (bounded at
+//    JsonlLineDecoder::kMaxLineBytes), and malformed lines are counted and
+//    skipped, never fatal.
 //  * A disconnect (EOF, reset, read error, refused or timed-out connect)
 //    is not fatal: the source reconnects with jittered exponential
 //    backoff and resumes from its consumed-line offset, so no record is
 //    ever delivered twice and none is skipped.
 //  * After `disconnect_budget` consecutive failures without a byte of
 //    payload in between, the source declares itself lost().
-//  * Malformed lines are counted and skipped, never fatal.
 class TcpRecordSource : public RecordSource {
  public:
   struct Options {
     std::string host = "127.0.0.1";
     int port = 0;
-    // Empty: raw FEED protocol. Non-empty: HTTP GET of this path with the
-    // resume offset in a Range header; the body must be chunked.
-    std::string http_path;
+    std::string path = "/";  // request target of the GET
     int connect_timeout_ms = 1000;
     // Kernel read deadline — the longest one PollOnce() can block.
     int read_timeout_ms = 10;
-    // Partial-line buffer cap; beyond it the line is garbage by fiat.
-    size_t max_buffer_bytes = 1 << 20;
     // Consecutive failures (connects or disconnects with no payload in
     // between) before the job is declared lost. <= 0 never gives up.
     int disconnect_budget = 8;
@@ -108,13 +102,12 @@ class TcpRecordSource : public RecordSource {
   uint64_t consecutive_failures() const override {
     return consecutive_failures_;
   }
-  bool connected() const { return socket_.valid(); }
 
  private:
   bool TryConnect();
   void RecordFailure();
-  // Transport bytes -> payload bytes (identity in raw mode, de-chunking in
-  // HTTP mode). Returns false when the stream is broken (bad status line,
+  // Transport bytes -> payload bytes: skips the response head, then
+  // de-chunks. Returns false when the stream is broken (bad status line,
   // bad chunk framing, terminal chunk) and the connection must drop.
   bool DecodePayload(std::string_view bytes, std::string& payload);
   void ProcessPayload(std::string_view payload, Poll& poll);
@@ -125,15 +118,13 @@ class TcpRecordSource : public RecordSource {
 
   TcpSocket socket_;
   bool lost_ = false;
-  bool got_payload_this_conn_ = false;
   uint64_t consecutive_failures_ = 0;
   uint64_t reconnects_ = 0;  // successful connects after the first
   uint64_t connects_ = 0;
   double next_attempt_s_ = 0;
 
-  uint64_t offset_ = 0;  // remote-log bytes consumed as complete lines
-  std::string partial_;  // payload tail with no newline yet
-  uint64_t total_malformed_ = 0;
+  uint64_t offset_ = 0;  // remote-log bytes no longer buffered in lines_
+  JsonlLineDecoder lines_;
 
   // HTTP framing state, reset per connection.
   std::string framing_;  // undecoded transport bytes

@@ -2,65 +2,67 @@
 
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/strings.h"
 #include "granula/live/alert_sink.h"
-#include "granula/live/alerts.h"
-#include "granula/live/log_tailer.h"
+#include "granula/live/record_source.h"
 #include "granula/visual/text.h"
 
 namespace granula::core {
 
 namespace {
 
-const char* SeverityLabel(Severity severity) {
-  switch (severity) {
-    case Severity::kInfo:
-      return "info";
-    case Severity::kWarning:
-      return "warning";
-    case Severity::kCritical:
-      return "critical";
-  }
-  return "info";
-}
+constexpr char kJob[] = "watch";
 
-void PrintAlert(std::FILE* out, const LiveAlert& alert) {
-  std::fprintf(out, "ALERT [%s] %s %s: %s\n",
-               SeverityLabel(alert.finding.severity),
-               std::string(FindingKindName(alert.finding.kind)).c_str(),
-               alert.finding.operation.c_str(),
-               alert.finding.description.c_str());
-}
+// Fans the supervisor's alerts out to watch's outputs until closed —
+// watch closes it before a timeout's drain, since findings on the tree
+// the drain force-closes would be guesses. Watch ticks the supervisor on
+// its own thread, so no lock.
+class GatedSink : public AlertSink {
+ public:
+  void OnAlert(const LiveAlert& alert) override {
+    if (closed) return;
+    for (const std::unique_ptr<AlertSink>& output : outputs) {
+      output->OnAlert(alert);
+    }
+  }
+  void Flush() override {
+    for (const std::unique_ptr<AlertSink>& output : outputs) output->Flush();
+  }
+
+  std::vector<std::unique_ptr<AlertSink>> outputs;
+  bool closed = false;
+};
 
 void Redraw(std::FILE* out, const PerformanceArchive& archive,
-            const AlertTracker& alerts, const StreamingArchiver& archiver,
-            int max_depth) {
+            const std::vector<LiveAlert>& alerts,
+            const FleetSupervisor::JobStatus& status, int max_depth) {
   std::fprintf(out, "\x1b[2J\x1b[H");  // clear screen, home cursor
   std::fprintf(out,
                "granula watch — records %llu, open %llu, finalized %llu, "
                "watermark %s\n\n",
                static_cast<unsigned long long>(
-                   archiver.stats().records_ingested),
+                   status.archiver.records_ingested),
                static_cast<unsigned long long>(
-                   archiver.stats().open_operations),
+                   status.archiver.open_operations),
                static_cast<unsigned long long>(
-                   archiver.stats().finalized_operations),
-               archiver.watermark().ToString().c_str());
+                   status.archiver.finalized_operations),
+               status.watermark.ToString().c_str());
   std::fprintf(out, "%s\n", RenderOperationTree(archive, max_depth).c_str());
-  const auto& raised = alerts.alerts();
-  if (!raised.empty()) {
-    std::fprintf(out, "alerts (%zu):\n", raised.size());
-    const size_t ticker = raised.size() > 5 ? raised.size() - 5 : 0;
-    for (size_t i = ticker; i < raised.size(); ++i) {
-      PrintAlert(out, raised[i]);
-    }
+  if (!alerts.empty()) {
+    std::fprintf(out, "alerts (%zu):\n", alerts.size());
+    TerminalAlertSink ticker(out);
+    const size_t first = alerts.size() > 5 ? alerts.size() - 5 : 0;
+    for (size_t i = first; i < alerts.size(); ++i) ticker.OnAlert(alerts[i]);
   }
   std::fflush(out);
+}
+
+bool Finalized(FleetSupervisor::JobState state) {
+  return state == FleetSupervisor::JobState::kComplete ||
+         state == FleetSupervisor::JobState::kIncomplete;
 }
 
 }  // namespace
@@ -68,158 +70,100 @@ void Redraw(std::FILE* out, const PerformanceArchive& archive,
 Result<WatchSummary> WatchLog(const PerformanceModel& model,
                               const WatchOptions& options, std::FILE* out) {
   GRANULA_RETURN_IF_ERROR(model.Validate());
+  FleetSupervisor fleet(model, options.fleet);
 
-  LogTailer tailer(options.log_path);
-  std::optional<StreamingArchiver> archiver;
-  archiver.emplace(model, options.archiver);
-  archiver->SetJobMetadata(options.job_metadata);
-  AlertTracker alerts(options.chokepoints);
-  WatchSummary summary;
-
-  // Alert routing: the terminal line printer (non-ANSI mode only; the
-  // ANSI redraw shows the alert ticker itself) plus an optional JSONL
-  // file. Alerts go to every sink the moment they are raised.
-  std::vector<std::unique_ptr<AlertSink>> sinks;
+  // Alert outputs: the terminal line printer (non-ANSI mode only; the
+  // ANSI redraw shows the alert ticker itself) plus an optional JSONL file.
+  auto gate = std::make_shared<GatedSink>();
   if (out != nullptr && !options.ansi) {
-    sinks.push_back(std::make_unique<TerminalAlertSink>(out));
+    gate->outputs.push_back(std::make_unique<TerminalAlertSink>(out));
   }
   if (!options.alert_jsonl_path.empty()) {
     GRANULA_ASSIGN_OR_RETURN(std::unique_ptr<JsonlAlertSink> jsonl,
                              JsonlAlertSink::Open(options.alert_jsonl_path));
-    sinks.push_back(std::move(jsonl));
+    gate->outputs.push_back(std::move(jsonl));
   }
-  auto emit = [&sinks](const std::vector<LiveAlert>& fresh) {
-    for (const LiveAlert& alert : fresh) {
-      for (std::unique_ptr<AlertSink>& sink : sinks) sink->OnAlert(alert);
-    }
-  };
+  fleet.AddAlertSink(gate);
+  GRANULA_RETURN_IF_ERROR(fleet.AddSource(
+      kJob, std::make_unique<FileRecordSource>(options.log_path)));
 
-  const MonotonicClock now = OrSteadyClock(options.now);
+  const MonotonicClock now = OrSteadyClock(options.fleet.now);
   const double deadline_s = now() + options.timeout_s;
-  double last_progress_s = now();
-  bool stall_raised = false;
-
+  WatchSummary summary;
+  FleetSupervisor::JobStatus status;
+  std::vector<LiveAlert> alerts;
   while (true) {
-    LogTailer::Poll poll = tailer.PollOnce();
-    summary.malformed_lines += poll.malformed_lines;
-    if (poll.rotated) {
-      // The job restarted with a fresh log: restart assembly. Alert
-      // dedup state survives on purpose — the analyst already saw those.
-      ++summary.rotations;
-      archiver.emplace(model, options.archiver);
-      archiver->SetJobMetadata(options.job_metadata);
-      if (out != nullptr && !options.quiet && !options.ansi) {
-        std::fprintf(out, "[watch] log rotated; restarting assembly\n");
-      }
-    }
-    summary.records_ingested += poll.records.size();
-    for (const LogRecord& record : poll.records) archiver->Append(record);
-
-    if (!poll.records.empty() || poll.rotated) {
-      last_progress_s = now();
-      stall_raised = false;  // the job woke back up; re-arm the detector
-    }
-
-    if (!poll.records.empty()) {
-      Result<PerformanceArchive> snapshot = archiver->Snapshot();
-      if (snapshot.ok()) {
-        ++summary.snapshots;
-        std::vector<LiveAlert> fresh = alerts.Update(*snapshot);
-        emit(fresh);
-        if (out == nullptr) {
-          // Headless mode: callers only want the summary.
-        } else if (options.ansi) {
-          Redraw(out, *snapshot, alerts, *archiver, options.max_depth);
-        } else {
-          if (!options.quiet) {
-            std::fprintf(
-                out, "[watch] records=%llu open=%llu watermark=%s\n",
-                static_cast<unsigned long long>(
-                    archiver->stats().records_ingested),
-                static_cast<unsigned long long>(
-                    archiver->stats().open_operations),
-                archiver->watermark().ToString().c_str());
-          }
-          std::fflush(out);
+    fleet.Tick();
+    const FleetSupervisor::JobStatus last = std::move(status);
+    status = fleet.JobStatuses().front();
+    // New records mean the supervisor re-snapshotted (and re-alerted).
+    const bool fresh_records = status.records > last.records;
+    if (fresh_records) ++summary.snapshots;
+    if (out != nullptr && options.ansi) {
+      if (fresh_records || status.alerts > last.alerts) {
+        alerts = fleet.Alerts(kJob);
+        Result<PerformanceArchive> snapshot = fleet.Archive(kJob);
+        if (snapshot.ok()) {
+          Redraw(out, *snapshot, alerts, status, options.max_depth);
         }
       }
+    } else if (out != nullptr) {
+      if (!options.quiet && status.rotations > last.rotations) {
+        std::fprintf(out, "[watch] log rotated; restarting assembly\n");
+      }
+      if (!options.quiet && fresh_records) {
+        std::fprintf(
+            out, "[watch] records=%llu open=%llu watermark=%s\n",
+            static_cast<unsigned long long>(status.archiver.records_ingested),
+            static_cast<unsigned long long>(status.archiver.open_operations),
+            status.watermark.ToString().c_str());
+      }
+      std::fflush(out);
     }
-
-    if (archiver->complete()) {
+    if (Finalized(status.state)) {
       summary.completed = true;
       break;
     }
-    if (options.stall_timeout_s > 0 && !stall_raised) {
-      double stalled_s = now() - last_progress_s;
-      if (stalled_s >= options.stall_timeout_s) {
-        stall_raised = true;
-        Finding finding{
-            FindingKind::kStalledJob, Severity::kCritical, options.log_path,
-            StrFormat("no new log records for %.1fs while the job is still "
-                      "in flight — crashed worker or wedged platform",
-                      stalled_s),
-            stalled_s};
-        std::optional<LiveAlert> alert =
-            alerts.RaiseExternal(std::move(finding), /*in_flight=*/true);
-        if (alert.has_value()) {
-          emit({*alert});
-          if (out != nullptr && options.ansi) {
-            Redraw(out, summary.archive, alerts, *archiver,
-                   options.max_depth);
-          }
-        }
-      }
-    }
     if (now() >= deadline_s) break;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(options.poll_interval_ms));
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+        options.fleet.poll_interval_ms));
   }
 
-  // On completion, Finish() seals the tree and the snapshot is the batch
-  // archive. On timeout, snapshot FIRST: the analyst wants the in-flight
-  // watermark view of the stalled job, not a force-finalized guess.
-  Result<PerformanceArchive> final_snapshot = Status::Internal("unset");
-  if (summary.completed) {
-    archiver->Finish();
-    final_snapshot = archiver->Snapshot();
-  } else {
-    final_snapshot = archiver->Snapshot();
-    archiver->Finish();
+  // On completion the job's status, archive and alerts are the sealed,
+  // batch-identical ones. On timeout, read them BEFORE the drain: the
+  // analyst wants the in-flight watermark view of the stalled job, not the
+  // force-finalized guess the drain seals (and would analyze once more).
+  Result<PerformanceArchive> archive = fleet.Archive(kJob);
+  alerts = fleet.Alerts(kJob);
+  gate->closed = true;
+  fleet.Drain();
+  summary.records_ingested = status.records;
+  summary.malformed_lines = status.malformed;
+  summary.rotations = status.rotations;
+  summary.archiver_stats = status.archiver;
+  summary.alerts = alerts.size();
+  for (const LiveAlert& alert : alerts) {
+    if (alert.in_flight) ++summary.in_flight_alerts;
+    if (alert.finding.kind == FindingKind::kStalledJob) ++summary.stall_alerts;
   }
-  summary.archiver_stats = archiver->stats();
-  if (final_snapshot.ok()) {
-    // One last analysis over the final tree so a short job still gets its
-    // findings even if every poll raced past it.
-    std::vector<LiveAlert> fresh = alerts.Update(*final_snapshot);
-    emit(fresh);
-    summary.alerts = alerts.alerts().size();
-    summary.archive = std::move(*final_snapshot);
+  if (archive.ok()) {
+    summary.archive = std::move(*archive);
     if (out == nullptr) {
       // Headless mode: skip the final render.
     } else if (options.ansi) {
-      Redraw(out, summary.archive, alerts, *archiver, options.max_depth);
+      Redraw(out, summary.archive, alerts, status, options.max_depth);
     } else {
       std::fprintf(out, "%s",
                    RenderOperationTree(summary.archive, options.max_depth)
                        .c_str());
     }
     std::vector<Finding> findings;
-    findings.reserve(alerts.alerts().size());
-    for (const LiveAlert& alert : alerts.alerts()) {
-      findings.push_back(alert.finding);
-    }
+    findings.reserve(alerts.size());
+    for (const LiveAlert& alert : alerts) findings.push_back(alert.finding);
     if (out != nullptr && !findings.empty()) {
       std::fprintf(out, "%s", RenderFindings(findings).c_str());
     }
   }
-  summary.alerts = alerts.alerts().size();
-  for (const LiveAlert& alert : alerts.alerts()) {
-    if (alert.in_flight) ++summary.in_flight_alerts;
-    if (alert.finding.kind == FindingKind::kStalledJob) {
-      ++summary.stall_alerts;
-    }
-  }
-  for (std::unique_ptr<AlertSink>& sink : sinks) sink->Flush();
   if (out != nullptr) {
     std::fprintf(out, "[watch] %s: %llu record(s), %llu alert(s)%s\n",
                  summary.completed ? "job completed" : "timed out",

@@ -1,4 +1,4 @@
-#include "granula/live/feed.h"
+#include "granula/serve/feed.h"
 
 #include <algorithm>
 #include <chrono>
@@ -7,8 +7,10 @@
 
 #include "common/mapped_file.h"
 #include "common/strings.h"
+#include "granula/serve/http.h"
+#include "granula/serve/service.h"
 
-namespace granula::core {
+namespace granula::serve {
 
 namespace {
 
@@ -20,6 +22,19 @@ void NapUnless(const std::atomic<bool>& stop, double ms) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(nap));
     left -= nap;
   }
+}
+
+// The resume offset from a "bytes=<offset>-" Range value (absent: from
+// the top). Other units, closed, suffix and multi ranges are refused.
+Result<uint64_t> RangeStart(const std::string& range) {
+  if (range.empty()) return uint64_t{0};
+  if (range.rfind("bytes=", 0) == 0 && range.back() == '-') {
+    Result<uint64_t> offset =
+        ParseUint64(std::string_view(range).substr(6, range.size() - 7));
+    if (offset.ok()) return offset;
+  }
+  return Status::InvalidArgument("unsupported Range '" + range +
+                                 "' (expected bytes=<offset>-)");
 }
 
 }  // namespace
@@ -78,56 +93,31 @@ void LogFeedServer::AcceptLoop() {
 }
 
 void LogFeedServer::ServeConnection(TcpSocket socket, NetFault fault) {
-  // One request line (raw mode) or one header block (HTTP mode).
-  std::string request;
-  bool http = false;
-  for (;;) {
-    if (!http && request.find('\n') != std::string::npos &&
-        request.rfind("GET ", 0) != 0) {
-      break;  // raw mode: the FEED line is complete
-    }
-    if (request.rfind("GET ", 0) == 0) {
-      http = true;
-      if (request.find("\r\n\r\n") != std::string::npos) break;
-    }
-    if (request.size() > 16 * 1024) return;  // not a follower
-    switch (socket.Read(request)) {
-      case TcpSocket::ReadOutcome::kData:
-        continue;
-      case TcpSocket::ReadOutcome::kEof:
-      case TcpSocket::ReadOutcome::kError:
-      case TcpSocket::ReadOutcome::kTimeout:
-        return;
-    }
+  // The follower's request head, read with the serve stack's parser.
+  std::string buffer;
+  HttpRequest request;
+  size_t consumed = 0;
+  Result<bool> parsed = false;
+  while ((parsed = ParseHttpRequest(buffer, &request, &consumed)).ok() &&
+         !*parsed) {
+    if (socket.Read(buffer) != TcpSocket::ReadOutcome::kData) return;
   }
-
-  uint64_t offset = 0;
-  if (http) {
-    // "Range: bytes=<offset>-" (absent: from the top).
-    size_t range = request.find("Range: bytes=");
-    if (range != std::string::npos) {
-      Result<uint64_t> parsed = ParseUint64(StrTrim(std::string(
-          request.substr(range + 13,
-                         request.find('-', range) - (range + 13)))));
-      if (parsed.ok()) offset = *parsed;
-    }
-    if (!socket
-             .WriteAll("HTTP/1.1 200 OK\r\n"
-                       "Content-Type: application/x-ndjson\r\n"
-                       "Transfer-Encoding: chunked\r\n"
-                       "Connection: keep-alive\r\n\r\n")
-             .ok()) {
-      return;
-    }
-  } else {
-    if (request.rfind("FEED ", 0) != 0) return;
-    size_t eol = request.find('\n');
-    Result<uint64_t> parsed = ParseUint64(
-        StrTrim(request.substr(5, eol == std::string::npos
-                                      ? std::string::npos
-                                      : eol - 5)));
-    if (!parsed.ok()) return;
-    offset = *parsed;
+  Result<uint64_t> start = parsed.ok() ? RangeStart(request.Header("range"))
+                                       : Result<uint64_t>(parsed.status());
+  if (!start.ok()) {
+    (void)socket.WriteAll(SerializeHttpResponse(
+        MakeErrorResponse(400, "bad_request", start.status().message()),
+        /*keep_alive=*/false));
+    return;
+  }
+  uint64_t offset = *start;
+  if (!socket
+           .WriteAll("HTTP/1.1 200 OK\r\n"
+                     "Content-Type: application/x-ndjson\r\n"
+                     "Transfer-Encoding: chunked\r\n"
+                     "Connection: keep-alive\r\n\r\n")
+           .ok()) {
+    return;
   }
 
   if (fault.stall_ms > 0) NapUnless(stopping_, fault.stall_ms);
@@ -150,14 +140,9 @@ void LogFeedServer::ServeConnection(TcpSocket socket, NetFault fault) {
           abort_after = true;
         }
         if (!window.empty()) {
-          std::string frame;
-          if (http) {
-            frame = StrFormat("%zx\r\n", window.size());
-            frame.append(window.data(), window.size());
-            frame += "\r\n";
-          } else {
-            frame.assign(window.data(), window.size());
-          }
+          std::string frame = StrFormat("%zx\r\n", window.size());
+          frame.append(window.data(), window.size());
+          frame += "\r\n";
           if (!socket.WriteAll(frame).ok()) return;
           sent += window.size();
           offset += window.size();
@@ -169,4 +154,4 @@ void LogFeedServer::ServeConnection(TcpSocket socket, NetFault fault) {
   }
 }
 
-}  // namespace granula::core
+}  // namespace granula::serve

@@ -1,5 +1,5 @@
-#ifndef GRANULA_GRANULA_LIVE_FEED_H_
-#define GRANULA_GRANULA_LIVE_FEED_H_
+#ifndef GRANULA_GRANULA_SERVE_FEED_H_
+#define GRANULA_GRANULA_SERVE_FEED_H_
 
 #include <atomic>
 #include <cstdint>
@@ -12,17 +12,16 @@
 #include "common/result.h"
 #include "common/socket.h"
 
-namespace granula::core {
+namespace granula::serve {
 
 // The sending side of the fleet transport: serves one local JSONL log
-// over TCP to any number of TcpRecordSource followers (`granula feed`).
-// Two protocols on the same port, chosen by the client's first line:
-//
-//  * "FEED <offset>\n"  — raw mode: the server streams the log's bytes
-//    from <offset>, then keeps following the file like `tail -f`.
-//  * "GET <path> ..."   — HTTP mode: a 200 response with
-//    Transfer-Encoding: chunked whose chunks carry the same bytes; the
-//    resume offset comes from a "Range: bytes=<offset>-" header.
+// over HTTP to any number of TcpRecordSource followers (`granula feed`).
+// A follower sends one GET (any path) whose "Range: bytes=<offset>-"
+// header names the resume offset (absent: from the top); the answer is a
+// 200 with Transfer-Encoding: chunked whose chunks carry the log's bytes
+// from that offset on, following the file like `tail -f`. The request is
+// read with ParseHttpRequest, so header names are case-insensitive; a
+// malformed request or Range gets a 400 instead of a stream.
 //
 // Deliberately tiny: one accept thread plus one thread per connection
 // (a feed serves a handful of followers, not a fleet — the *daemon* is
@@ -89,6 +88,6 @@ class LogFeedServer {
   std::vector<std::thread> workers_;
 };
 
-}  // namespace granula::core
+}  // namespace granula::serve
 
-#endif  // GRANULA_GRANULA_LIVE_FEED_H_
+#endif  // GRANULA_GRANULA_SERVE_FEED_H_

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "granula/live/log_tailer.h"
 #include "granula/monitor/job_logger.h"
 
 namespace granula::serve {
@@ -78,29 +79,13 @@ HttpResponse FleetService::IngestRecords(const HttpRequest& request,
   if (model_it != request.query.end()) model = model_it->second;
 
   // Parse the JSONL body on this worker thread so the supervisor only
-  // ever sees ready records. Unparseable lines are counted malformed and
-  // skipped — same tolerance as the tailer — but a body with no valid
-  // record at all is a client error.
+  // ever sees ready records. Lines follow the live readers' shared rule
+  // (the body's end ends its last line); a body with no valid record at
+  // all is a client error.
   std::vector<LogRecord> records;
-  uint64_t malformed = 0;
-  std::string_view body = request.body;
-  size_t pos = 0;
-  while (pos <= body.size()) {
-    size_t nl = body.find('\n', pos);
-    std::string_view line = body.substr(
-        pos, nl == std::string_view::npos ? body.size() - pos : nl - pos);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (!StrTrim(line).empty()) {
-      Result<LogRecord> parsed = LogRecord::ParseJsonl(line);
-      if (parsed.ok()) {
-        records.push_back(std::move(parsed).value());
-      } else {
-        ++malformed;
-      }
-    }
-    if (nl == std::string_view::npos) break;
-    pos = nl + 1;
-  }
+  core::JsonlLineDecoder lines;
+  uint64_t malformed = lines.Feed(request.body, records);
+  malformed += lines.Finish(records);
   if (records.empty() && malformed == 0) {
     return MakeErrorResponse(400, "empty_body",
                              "POST body must carry JSONL log records");
@@ -164,6 +149,7 @@ HttpResponse FleetService::GetFleet() {
     j["shed_records"] = job.shed_records;
     j["alerts"] = job.alerts;
     j["reconnects"] = job.reconnects;
+    j["rotations"] = job.rotations;
     j["source_lost"] = job.source_lost;
     if (!job.archive_name.empty()) j["archive"] = job.archive_name;
     if (!job.error.empty()) j["error"] = job.error;

@@ -145,9 +145,9 @@ TEST(AlertSinkTest, WatchWritesInjectedStallToTheJsonlSink) {
 
   WatchOptions options;
   options.log_path = log;
-  options.poll_interval_ms = 5;
+  options.fleet.poll_interval_ms = 5;
   options.timeout_s = 2.0;
-  options.stall_timeout_s = 0.1;
+  options.fleet.stall_timeout_s = 0.1;
   options.alert_jsonl_path = alert_log;
   options.quiet = true;
   Result<WatchSummary> watched =

@@ -614,6 +614,52 @@ TEST(CliTest, FeedFlagErrorsExitSixtyFour) {
             kExitUsage);
 }
 
+// Numeric flags of the live commands parse strictly: garbage or a
+// negative value is a usage error (64), never atoll/atof's silent 0 nor
+// a negative count wrapped into a huge unsigned one.
+TEST(CliTest, WatchNumericFlagsAreStrict) {
+  const std::string log = "--log=" + TempPath("strict_never_written.jsonl");
+  for (const char* bad :
+       {"--timeout=abc", "--timeout=-1", "--poll-ms=-1", "--poll-ms=5ms",
+        "--depth=-1", "--depth=x", "--stall-timeout=-1",
+        "--stall-timeout=soon", "--model-level=-2", "--capacity=-4"}) {
+    Capture out("watch_strict_out"), err("watch_strict_err");
+    EXPECT_EQ(RunCli({"watch", log, "--timeout=0.05", "--quiet", bad}, &out,
+                     &err),
+              kExitUsage)
+        << bad;
+    const std::string text = bad;
+    const std::string flag = text.substr(0, text.find('='));
+    EXPECT_NE(err.text().find("bad " + flag), std::string::npos)
+        << bad << ": " << err.text();
+  }
+}
+
+TEST(CliTest, FleetAndFeedNumericFlagsAreStrict) {
+  // An occupied port: a command that accepted the bad flag would fail
+  // the bind (exit 1) instead of serving.
+  auto occupied = TcpListener::Bind("127.0.0.1", 0);
+  ASSERT_TRUE(occupied.ok()) << occupied.status();
+  const std::string port = "--port=" + std::to_string(occupied->port());
+  const std::string root = TempPath("strict_fleet_repo");
+  std::filesystem::create_directories(root);
+  for (const char* bad :
+       {"--queue-cap=-1", "--alert-retries=-1", "--stall-timeout=abc",
+        "--poll-ms=-5", "--threads=x", "--timeout-ms=1e3",
+        "--alert-timeout-ms=-1", "--reconnect-budget=-1"}) {
+    Capture out("fleet_strict_out"), err("fleet_strict_err");
+    EXPECT_EQ(RunCli({"fleet", "--root=" + root, port, bad}, &out, &err),
+              kExitUsage)
+        << bad << ": " << err.text();
+  }
+  for (const char* bad : {"--poll-ms=abc", "--poll-ms=-1"}) {
+    Capture out("feed_strict_out"), err("feed_strict_err");
+    EXPECT_EQ(RunCli({"feed", "--log=/tmp/x.jsonl", port, bad}, &out, &err),
+              kExitUsage)
+        << bad << ": " << err.text();
+  }
+}
+
 TEST(CliTest, FleetBindFailureExitsOneAndDrains) {
   auto occupied = TcpListener::Bind("127.0.0.1", 0);
   ASSERT_TRUE(occupied.ok()) << occupied.status();

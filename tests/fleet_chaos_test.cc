@@ -1,6 +1,6 @@
 // The acceptance chaos run for the fleet daemon: eight concurrent
-// streamed jobs across every transport (push batches, local file, raw
-// TCP, HTTP-chunked) under injected faults built from the sim fault
+// streamed jobs across every transport (push batches, local file, HTTP
+// feed followers) under injected faults built from the sim fault
 // grammar — mid-body resets, a slow peer, one source killed mid-job —
 // with one webhook refusing every connection and one answering slowly.
 // Afterward: seven complete archives byte-identical to their batch
@@ -23,12 +23,12 @@
 #include "granula/archive/archiver.h"
 #include "granula/archive/repository.h"
 #include "granula/live/alert_sink.h"
-#include "granula/live/feed.h"
 #include "granula/live/fleet.h"
 #include "granula/live/record_source.h"
 #include "granula/live/retry_sink.h"
 #include "granula/models/models.h"
 #include "granula/monitor/job_logger.h"
+#include "granula/serve/feed.h"
 #include "graph/generators.h"
 #include "platforms/powergraph.h"
 #include "sim/faults.h"
@@ -108,9 +108,10 @@ class SlowWebhook {
     thread_ = std::thread([this] { Loop(); });
   }
   ~SlowWebhook() {
+    // Join before closing: Loop() reads the listener on every Accept.
     stop_.store(true);
-    listener_.Close();
     if (thread_.joinable()) thread_.join();
+    listener_.Close();
   }
   int port() const { return listener_.port(); }
   uint64_t served() const { return served_.load(); }
@@ -143,11 +144,11 @@ class SlowWebhook {
 
 // Adapts a sim fault plan's net specs into the feed server's hook — the
 // textual grammar drives the wire faults.
-LogFeedServer::NetFaultHook HookFromPlan(
+serve::LogFeedServer::NetFaultHook HookFromPlan(
     std::shared_ptr<sim::FaultPlan> plan) {
   auto injector = std::make_shared<sim::FaultInjector>(*plan);
   return [plan, injector](uint64_t connection) {
-    LogFeedServer::NetFault fault;
+    serve::LogFeedServer::NetFault fault;
     const sim::FaultSpec* spec =
         injector->NetFault(static_cast<uint32_t>(connection));
     if (spec == nullptr) return fault;
@@ -207,14 +208,13 @@ TEST(FleetChaosTest, EightFaultedJobsDrainWithExactlyOnceAlertAccounting) {
   const size_t killed_half = logs[kKilled].size() / 2;
 
   // ---- feeds with wire faults from the sim grammar -----------------
-  // job-4: raw TCP, clean. job-5: HTTP-chunked behind a slow peer.
-  // job-6: raw TCP, every connection reset after ~1 KiB. job-7: raw TCP,
-  // later killed outright.
-  std::map<int, std::unique_ptr<LogFeedServer>> feeds;
+  // job-4: clean. job-5: behind a slow peer. job-6: every connection
+  // reset after ~1 KiB. job-7: later killed outright.
+  std::map<int, std::unique_ptr<serve::LogFeedServer>> feeds;
   for (int i = 4; i < kJobs; ++i) {
-    LogFeedServer::Options options;
+    serve::LogFeedServer::Options options;
     options.path = paths[i];
-    feeds[i] = std::make_unique<LogFeedServer>(options);
+    feeds[i] = std::make_unique<serve::LogFeedServer>(options);
   }
   feeds[5]->SetNetFaultHook(HookFromPlan(MustParsePlan("netslow:40:3")));
   feeds[6]->SetNetFaultHook(
@@ -279,7 +279,7 @@ TEST(FleetChaosTest, EightFaultedJobsDrainWithExactlyOnceAlertAccounting) {
     tcp.port = feeds[i]->port();
     tcp.backoff_base_ms = 1;
     tcp.backoff_cap_ms = 5;
-    if (i == 5) tcp.http_path = "/log";
+    if (i == 5) tcp.path = "/log";  // the feed serves its log at any path
     if (i == kKilled) {
       tcp.connect_timeout_ms = 100;
       tcp.disconnect_budget = 3;

@@ -25,6 +25,7 @@
 #include "granula/live/record_source.h"
 #include "granula/models/models.h"
 #include "granula/monitor/job_logger.h"
+#include "granula/serve/feed.h"
 #include "granula/serve/fleet_service.h"
 #include "granula/serve/server.h"
 #include "graph/generators.h"
@@ -130,7 +131,7 @@ TEST(FleetSupervisorTest, PushedJobFinalizesByteIdenticalToBatch) {
   EXPECT_EQ(statuses[0].state, FleetSupervisor::JobState::kComplete);
   EXPECT_EQ(statuses[0].records, records.size());
 
-  auto archive = fleet.FinalArchive("job-a");
+  auto archive = fleet.Archive("job-a");
   ASSERT_TRUE(archive.ok()) << archive.status();
   EXPECT_EQ(archive->status, ArchiveStatus::kComplete);
   EXPECT_EQ(archive->ToJsonString(2), BatchJson(records));
@@ -248,7 +249,7 @@ TEST(FleetSupervisorTest, DrainFinalizesOpenJobsAsIncomplete) {
   auto statuses = fleet.JobStatuses();
   ASSERT_EQ(statuses.size(), 1u);
   EXPECT_EQ(statuses[0].state, FleetSupervisor::JobState::kIncomplete);
-  auto archive = fleet.FinalArchive("job-half");
+  auto archive = fleet.Archive("job-half");
   ASSERT_TRUE(archive.ok()) << archive.status();
   EXPECT_EQ(archive->status, ArchiveStatus::kIncomplete);
 
@@ -357,9 +358,75 @@ TEST(FleetSupervisorTest, OneLostSourceDoesNotTouchItsNeighbors) {
     }
   }
   EXPECT_TRUE(lost_alert);
-  auto healthy = fleet.FinalArchive("healthy");
+  auto healthy = fleet.Archive("healthy");
   ASSERT_TRUE(healthy.ok()) << healthy.status();
   EXPECT_EQ(healthy->ToJsonString(2), BatchJson(records));
+}
+
+TEST(FleetSupervisorTest, RotatedFileLogRestartsAssembly) {
+  // The job restarts with a fresh log while the fleet follows it: half of
+  // run A lands, the file is truncated, then run B is written in full.
+  // The job's archive must be B's batch archive — not A's open tree with
+  // B's StartOps quarantined as duplicates.
+  std::vector<LogRecord> run_a = RealJobRecords(23);
+  std::vector<LogRecord> run_b = RealJobRecords(29);
+  std::string log = FreshPath("rotate");
+  ASSERT_TRUE(WriteLogRecords(log, std::vector<LogRecord>(
+                                       run_a.begin(),
+                                       run_a.begin() + run_a.size() / 2))
+                  .ok());
+
+  FleetSupervisor fleet(MakePowerGraphModel(), FastOptions());
+  ASSERT_TRUE(
+      fleet.AddSource("rotating", std::make_unique<FileRecordSource>(log))
+          .ok());
+  fleet.Tick();
+  ASSERT_EQ(fleet.JobStatuses()[0].records, run_a.size() / 2);
+  ASSERT_TRUE(WriteLogRecords(log, {}).ok());  // truncated
+  fleet.Tick();
+  ASSERT_TRUE(WriteLogRecords(log, run_b).ok());
+  fleet.Tick();
+
+  auto statuses = fleet.JobStatuses();
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_EQ(statuses[0].rotations, 1u);
+  EXPECT_EQ(statuses[0].state, FleetSupervisor::JobState::kComplete);
+  EXPECT_EQ(fleet.stats().ticks, 3u);
+  auto archive = fleet.Archive("rotating");
+  ASSERT_TRUE(archive.ok()) << archive.status();
+  EXPECT_EQ(archive->ToJsonString(2), BatchJson(run_b));
+  fleet.Drain();
+}
+
+TEST(FleetSupervisorTest, ArchiveServesTheInFlightSnapshotUntilFinal) {
+  std::vector<LogRecord> records = RealJobRecords();
+  FleetSupervisor fleet(MakePowerGraphModel(), FastOptions());
+  EXPECT_EQ(fleet.Archive("job-live").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(fleet
+                  .Ingest("job-live",
+                          std::vector<LogRecord>(
+                              records.begin(),
+                              records.begin() + records.size() / 2),
+                          0)
+                  .ok());
+  fleet.Tick();
+  auto in_flight = fleet.Archive("job-live");
+  ASSERT_TRUE(in_flight.ok()) << in_flight.status();
+  ASSERT_NE(in_flight->root, nullptr);
+  EXPECT_TRUE(in_flight->root->HasInfo("InFlight"));
+
+  ASSERT_TRUE(fleet
+                  .Ingest("job-live",
+                          std::vector<LogRecord>(
+                              records.begin() + records.size() / 2,
+                              records.end()),
+                          0)
+                  .ok());
+  fleet.Tick();
+  auto final_archive = fleet.Archive("job-live");
+  ASSERT_TRUE(final_archive.ok()) << final_archive.status();
+  EXPECT_EQ(final_archive->ToJsonString(2), BatchJson(records));
+  fleet.Drain();
 }
 
 // ------------------------------------------------ HTTP face ------------
@@ -565,6 +632,90 @@ TEST_F(FleetServiceTest, BadRequestsGetPreciseErrors) {
   ASSERT_TRUE(index.ok()) << index.status();
   EXPECT_EQ(index->status, 200);
   EXPECT_EQ(MustParse(index->body).GetString("service"), "granula-fleet");
+}
+
+// ------------------------------------------ one JSONL line rule --------
+
+struct Decoded {
+  std::vector<uint64_t> seqs;
+  uint64_t malformed = 0;
+};
+
+// Polls `source` until it delivered `want` records in total.
+void PollUntil(RecordSource& source, size_t want, Decoded& got) {
+  ASSERT_TRUE(WaitFor([&] {
+    RecordSource::Poll poll = source.PollOnce();
+    for (const LogRecord& record : poll.records) got.seqs.push_back(record.seq);
+    got.malformed += poll.malformed_lines;
+    return got.seqs.size() >= want;
+  })) << source.describe() << " delivered " << got.seqs.size();
+}
+
+TEST(LiveLineRuleTest, FileFeedAndPostDecodeTheSameBytesAlike) {
+  // A CRLF line, whitespace-only lines (skipped, like the batch reader
+  // skips them), one malformed line, and an unterminated tail.
+  std::vector<LogRecord> records = RealJobRecords();
+  std::string bytes;
+  records[0].AppendJsonl(bytes);
+  bytes += "\n";
+  records[1].AppendJsonl(bytes);
+  bytes += "\r\n   \t\nnot json\n \r\n";
+  records[2].AppendJsonl(bytes);
+  bytes += "\n";
+  records[3].AppendJsonl(bytes);  // no newline yet
+  std::string log = FreshPath("line_rule");
+  {
+    std::FILE* f = std::fopen(log.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+  }
+
+  serve::LogFeedServer::Options feed_options;
+  feed_options.path = log;
+  serve::LogFeedServer feed(feed_options);
+  ASSERT_TRUE(feed.Start().ok());
+  TcpRecordSource::Options tcp;
+  tcp.port = feed.port();
+  TcpRecordSource follower(tcp);
+  FileRecordSource file(log);
+
+  // The tail waits for its newline on both pull transports.
+  Decoded from_file, from_feed;
+  PollUntil(file, 3, from_file);
+  PollUntil(follower, 3, from_feed);
+  EXPECT_EQ(from_file.seqs.size(), 3u);
+  EXPECT_EQ(from_feed.seqs.size(), 3u);
+  {
+    std::FILE* f = std::fopen(log.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fputs("\n", f);
+    std::fclose(f);
+  }
+  PollUntil(file, 4, from_file);
+  PollUntil(follower, 4, from_feed);
+  feed.Stop();
+  const std::vector<uint64_t> want = {records[0].seq, records[1].seq,
+                                      records[2].seq, records[3].seq};
+  EXPECT_EQ(from_file.seqs, want);
+  EXPECT_EQ(from_feed.seqs, want);
+  EXPECT_EQ(from_file.malformed, 1u);
+  EXPECT_EQ(from_feed.malformed, 1u);
+
+  // The same bytes as a POST body: its end ends the tail.
+  FleetSupervisor fleet(MakePowerGraphModel(), FastOptions());
+  serve::FleetService service(&fleet);
+  serve::HttpRequest request;
+  request.method = "POST";
+  request.path = "/jobs/posted/records";
+  request.segments = {"jobs", "posted", "records"};
+  request.body = bytes;
+  serve::HttpResponse response = service.Handle(request);
+  ASSERT_EQ(response.status, 200) << response.body;
+  Json answer = MustParse(response.body);
+  EXPECT_EQ(answer.GetInt("queued"), 4);
+  EXPECT_EQ(answer.GetInt("malformed"), 1);
+  fleet.Drain();
 }
 
 }  // namespace

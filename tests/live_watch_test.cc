@@ -77,10 +77,10 @@ TEST(LiveWatchTest, TailsAConcurrentRunAndAlertsInFlight) {
 
   WatchOptions options;
   options.log_path = log;
-  options.poll_interval_ms = 5;
+  options.fleet.poll_interval_ms = 5;
   options.timeout_s = 120;
   options.quiet = true;
-  options.chokepoints = EagerChokepoints();
+  options.fleet.chokepoints = EagerChokepoints();
   Result<WatchSummary> watched =
       WatchLog(MakePowerGraphModel(), options, nullptr);
   producer.join();
@@ -114,7 +114,7 @@ TEST(LiveWatchTest, CompletedLogIsWatchableAfterTheFact) {
 
   WatchOptions options;
   options.log_path = log;
-  options.poll_interval_ms = 5;
+  options.fleet.poll_interval_ms = 5;
   options.timeout_s = 10;
   options.quiet = true;
   Result<WatchSummary> watched =
@@ -141,13 +141,13 @@ TEST(LiveWatchTest, TimesOutWhenTheJobNeverFinishes) {
 
   WatchOptions options;
   options.log_path = log;
-  options.poll_interval_ms = 0;
+  options.fleet.poll_interval_ms = 0;
   options.timeout_s = 5;
   options.quiet = true;
   // Fake clock: every reading advances one virtual second, so the
   // deadline passes after a handful of polls with no real sleeping.
   double fake_now = 0;
-  options.now = [&fake_now] { return fake_now += 1.0; };
+  options.fleet.now = [&fake_now] { return fake_now += 1.0; };
   Result<WatchSummary> watched =
       WatchLog(MakePowerGraphModel(), options, nullptr);
   ASSERT_TRUE(watched.ok()) << watched.status();
@@ -173,12 +173,12 @@ TEST(LiveWatchTest, StallDetectorFiresOnTheFakeClock) {
 
   WatchOptions options;
   options.log_path = log;
-  options.poll_interval_ms = 0;
+  options.fleet.poll_interval_ms = 0;
   options.timeout_s = 100;
-  options.stall_timeout_s = 10;
+  options.fleet.stall_timeout_s = 10;
   options.quiet = true;
   double fake_now = 0;
-  options.now = [&fake_now] { return fake_now += 1.0; };
+  options.fleet.now = [&fake_now] { return fake_now += 1.0; };
   Result<WatchSummary> watched =
       WatchLog(MakePowerGraphModel(), options, nullptr);
   ASSERT_TRUE(watched.ok()) << watched.status();

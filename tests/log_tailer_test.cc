@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -35,6 +36,36 @@ std::string RecordLine(uint64_t seq, uint64_t op) {
 void AppendRaw(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::app | std::ios::binary);
   out << text;
+}
+
+TEST(JsonlLineDecoderTest, OversizedLineCountsOnceAndIsSkippedToItsEnd) {
+  JsonlLineDecoder lines;
+  std::vector<LogRecord> records;
+  // Past the cap with no newline: dropped and counted, nothing buffered.
+  EXPECT_EQ(lines.Feed(std::string(JsonlLineDecoder::kMaxLineBytes + 1, 'x'),
+                       records),
+            1u);
+  EXPECT_EQ(lines.buffered(), 0u);
+  // The rest of that line is skipped silently up to its newline; the next
+  // line decodes normally.
+  EXPECT_EQ(lines.Feed("more of the same line\n" + RecordLine(4, 5), records),
+            0u);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].seq, 4u);
+}
+
+TEST(JsonlLineDecoderTest, FinishDecodesTheUnterminatedTail) {
+  JsonlLineDecoder lines;
+  std::vector<LogRecord> records;
+  std::string line = RecordLine(8, 9);
+  line.pop_back();  // no trailing newline
+  EXPECT_EQ(lines.Feed(line, records), 0u);
+  EXPECT_TRUE(records.empty());
+  EXPECT_EQ(lines.buffered(), line.size());
+  EXPECT_EQ(lines.Finish(records), 0u);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].seq, 8u);
+  EXPECT_EQ(lines.buffered(), 0u);
 }
 
 TEST(LogTailerTest, MissingFileYieldsNothing) {

@@ -1,8 +1,9 @@
 // Transport-layer tests for the fleet's RecordSource abstraction: the
-// local-file source, the TCP follower in both wire modes (raw FEED and
-// HTTP-chunked), reconnect-with-resume under injected disconnects, the
-// disconnect budget, bounded partial-line buffering, and the SIGPIPE
-// regression for socket writes to a closed peer.
+// local-file source, the TCP follower against the HTTP feed (Range
+// resume, case-insensitive headers, 400 on a bad Range),
+// reconnect-with-resume under injected disconnects, the disconnect
+// budget, bounded partial-line buffering, and the SIGPIPE regression for
+// socket writes to a closed peer.
 
 #include "granula/live/record_source.h"
 
@@ -15,10 +16,10 @@
 
 #include "common/socket.h"
 #include "granula/archive/archiver.h"
-#include "granula/live/feed.h"
 #include "granula/live/streaming_archiver.h"
 #include "granula/models/models.h"
 #include "granula/monitor/job_logger.h"
+#include "granula/serve/feed.h"
 #include "graph/generators.h"
 #include "platforms/powergraph.h"
 
@@ -27,6 +28,7 @@ namespace {
 
 using platform::JobConfig;
 using platform::JobResult;
+using serve::LogFeedServer;
 
 std::string FreshPath(const std::string& name) {
   std::string path = testing::TempDir() + "/record_source_" + name + ".jsonl";
@@ -101,9 +103,9 @@ TEST(FileRecordSourceTest, DrainsALocalLogAndMatchesBatch) {
   EXPECT_EQ(ArchiveJson(streamed), batch->ToJsonString(2));
 }
 
-TEST(TcpRecordSourceTest, RawFeedStreamingMatchesBatch) {
+TEST(TcpRecordSourceTest, HttpStreamingMatchesBatch) {
   std::vector<LogRecord> records = RealJobRecords();
-  std::string log = FreshPath("raw");
+  std::string log = FreshPath("stream");
   ASSERT_TRUE(WriteLogRecords(log, records).ok());
 
   LogFeedServer::Options feed_options;
@@ -130,7 +132,7 @@ TEST(TcpRecordSourceTest, RawFeedStreamingMatchesBatch) {
   EXPECT_EQ(ArchiveJson(streamed), batch->ToJsonString(2));
 }
 
-TEST(TcpRecordSourceTest, HttpChunkedStreamingMatchesBatch) {
+TEST(TcpRecordSourceTest, AnyRequestPathServesTheLog) {
   std::vector<LogRecord> records = RealJobRecords();
   std::string log = FreshPath("http");
   ASSERT_TRUE(WriteLogRecords(log, records).ok());
@@ -142,8 +144,10 @@ TEST(TcpRecordSourceTest, HttpChunkedStreamingMatchesBatch) {
 
   TcpRecordSource::Options options;
   options.port = feed.port();
-  options.http_path = "/log";
+  options.path = "/log";
   TcpRecordSource source(options);
+  EXPECT_EQ(source.describe(),
+            "tcp://127.0.0.1:" + std::to_string(feed.port()) + "/log");
   std::vector<LogRecord> streamed;
   uint64_t malformed = 0;
   Drain(source, records.size(), streamed, malformed);
@@ -229,10 +233,10 @@ TEST(TcpRecordSourceTest, DisconnectBudgetDeclaresTheSourceLost) {
 TEST(TcpRecordSourceTest, OversizedPartialLineIsBoundedAndCounted) {
   std::vector<LogRecord> records = RealJobRecords();
   std::string log = FreshPath("oversize");
-  // A 64 KiB junk line (no newline until the end) followed by the real
-  // log. The follower's partial buffer is capped far below that.
+  // A junk line past the 1 MiB line cap (no newline until the end)
+  // followed by the real log.
   {
-    std::string contents(64 * 1024, 'x');
+    std::string contents(JsonlLineDecoder::kMaxLineBytes + 64 * 1024, 'x');
     contents.push_back('\n');
     for (const LogRecord& record : records) {
       record.AppendJsonl(contents);
@@ -251,7 +255,6 @@ TEST(TcpRecordSourceTest, OversizedPartialLineIsBoundedAndCounted) {
 
   TcpRecordSource::Options options;
   options.port = feed.port();
-  options.max_buffer_bytes = 4096;
   TcpRecordSource source(options);
   std::vector<LogRecord> streamed;
   uint64_t malformed = 0;
@@ -261,6 +264,55 @@ TEST(TcpRecordSourceTest, OversizedPartialLineIsBoundedAndCounted) {
   ASSERT_EQ(streamed.size(), records.size());
   EXPECT_GE(malformed, 1u);  // the endless line was dropped, not buffered
   EXPECT_FALSE(source.lost());
+}
+
+// Sends one raw request head to `port` and returns everything the feed
+// answers within a short read window.
+std::string RawExchange(int port, const std::string& head) {
+  auto socket = TcpConnect("127.0.0.1", port, 1000);
+  EXPECT_TRUE(socket.ok()) << socket.status();
+  if (!socket.ok()) return "";
+  EXPECT_TRUE(socket->SetTimeouts(200, 1000).ok());
+  EXPECT_TRUE(socket->WriteAll(head).ok());
+  std::string reply;
+  while (socket->Read(reply) == TcpSocket::ReadOutcome::kData) {
+  }
+  return reply;
+}
+
+TEST(LogFeedServerTest, RangeHeaderIsCaseInsensitiveAndValidated) {
+  std::string log = FreshPath("range");
+  {
+    std::FILE* f = std::fopen(log.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("0123456789\n", f);
+    std::fclose(f);
+  }
+  LogFeedServer::Options feed_options;
+  feed_options.path = log;
+  LogFeedServer feed(feed_options);
+  ASSERT_TRUE(feed.Start().ok());
+
+  // A lower-case header resumes at its offset: the first chunk carries
+  // bytes 4.. ("456789\n", 7 bytes), not the log from byte 0.
+  std::string resumed = RawExchange(
+      feed.port(), "GET / HTTP/1.1\r\nhost: x\r\nrange: bytes=4-\r\n\r\n");
+  EXPECT_EQ(resumed.rfind("HTTP/1.1 200", 0), 0u) << resumed;
+  EXPECT_NE(resumed.find("\r\n\r\n7\r\n456789\n\r\n"), std::string::npos)
+      << resumed;
+
+  // A malformed Range is refused outright, never silently restarted at 0.
+  for (const char* range : {"bytes=abc-", "bytes=4-9", "lines=4-"}) {
+    std::string refused = RawExchange(
+        feed.port(),
+        std::string("GET / HTTP/1.1\r\nRange: ") + range + "\r\n\r\n");
+    EXPECT_EQ(refused.rfind("HTTP/1.1 400", 0), 0u) << range << ": "
+                                                     << refused;
+  }
+  // So is a request that is not HTTP at all.
+  EXPECT_EQ(RawExchange(feed.port(), "FEED 0\r\n\r\n").rfind("HTTP/1.1 400", 0),
+            0u);
+  feed.Stop();
 }
 
 // Satellite regression: a socket write to a peer that already closed must

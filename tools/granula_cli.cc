@@ -41,7 +41,10 @@
 //                    [--poll-ms=50] [--depth=3] [--capacity=128] [--ansi]
 //                    [--quiet] [--archive-out=final.json]
 //                    [--stall-timeout=SECONDS] [--alert-log=alerts.jsonl]
-//                    (tails a live log while the job runs; exit 5 on timeout)
+//                    [--model-level=0]
+//                    (tails a live log while the job runs — a one-job
+//                     fleet, job "watch", on a file: source; exit 5 on
+//                     timeout, 64 on a bad or negative numeric flag)
 //   granula list     [--repo=DIR]          (list saved archives, served
 //                    from the repository index without opening bodies)
 //   granula query    --repo=DIR [--platform=P] [--algorithm=A]
@@ -74,18 +77,20 @@
 //                    [--webhook=http://... (repeatable)] [--alert-cmd=SHELL]
 //                    [--alert-log=alerts.jsonl] [--alert-retries=4]
 //                    [--alert-timeout-ms=1000] [--dead-letter=PATH]
-//                    (multi-job supervisor daemon: pulls the named sources,
-//                     accepts pushed batches on POST /jobs/NAME/records,
-//                     reports on GET /fleet and /stats, finalizes every job
-//                     into the repository; exit 64 on bad flags, 1 when the
-//                     bind fails; SIGINT drains open jobs as incomplete and
-//                     exits 0)
+//                    (multi-job supervisor daemon: pulls the named sources —
+//                     a tcp:// source GETs PATH, default /, from a feed
+//                     with a Range header — accepts pushed batches on POST
+//                     /jobs/NAME/records, reports on GET /fleet and /stats,
+//                     finalizes every job into the repository; exit 64 on
+//                     bad flags, 1 when the bind fails; SIGINT drains open
+//                     jobs as incomplete and exits 0)
 //   granula feed     --log=run.live.jsonl [--host=127.0.0.1] [--port=7070]
 //                    [--poll-ms=5]
-//                    (publishes a growing log file to fleet collectors; the
-//                     client picks raw streaming or HTTP chunked — a fleet
-//                     source URL with a path, tcp://HOST:PORT/log, uses
-//                     HTTP mode, one without uses raw)
+//                    (publishes a growing log file to fleet collectors over
+//                     HTTP: any GET path, resumed with "Range:
+//                     bytes=N-", answered by an endless chunked stream; a
+//                     malformed request or Range gets a 400; exit 64 on
+//                     bad flags, 1 when the bind fails)
 //   granula model    [--name=giraph|powergraph|hadoop|domain]
 //   granula table1
 //

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <ctime>
@@ -23,9 +24,9 @@
 #include "granula/archive/gba.h"
 #include "granula/archive/repository.h"
 #include "granula/bench/sweep.h"
+#include "granula/serve/feed.h"
 #include "granula/serve/fleet_service.h"
 #include "granula/serve/server.h"
-#include "granula/live/feed.h"
 #include "granula/live/fleet.h"
 #include "granula/live/record_source.h"
 #include "granula/live/retry_sink.h"
@@ -92,6 +93,53 @@ class Flags {
 
  private:
   std::map<std::string, std::vector<std::string>> values_;
+};
+
+// Strict numeric flags for the daemons and live commands (serve, watch,
+// fleet, feed): a value must parse in full and lie in range — never
+// atoll/atof's silent 0 for "abc", nor a negative count wrapped into a
+// huge unsigned one. The first bad flag is kept, so the command reads
+// them all and then answers exit 64 once.
+class NumericFlags {
+ public:
+  explicit NumericFlags(const Flags& flags) : flags_(flags) {}
+
+  uint64_t Uint(const std::string& name, uint64_t fallback, uint64_t lo,
+                uint64_t hi) {
+    if (!flags_.Has(name)) return fallback;
+    Result<uint64_t> value = ParseUint64(flags_.Get(name));
+    if (value.ok() && *value >= lo && *value <= hi) return *value;
+    Fail(name, StrFormat("%llu-%llu", static_cast<unsigned long long>(lo),
+                         static_cast<unsigned long long>(hi)));
+    return fallback;
+  }
+
+  double NonNegative(const std::string& name, double fallback) {
+    if (!flags_.Has(name)) return fallback;
+    Result<double> value = ParseFiniteDouble(flags_.Get(name));
+    if (value.ok() && *value >= 0) return *value;
+    Fail(name, "a non-negative number");
+    return fallback;
+  }
+
+  // False (after printing "granula COMMAND: bad --flag ...") when any
+  // flag read so far was bad.
+  bool Ok(std::FILE* err, const char* command) const {
+    if (error_.empty()) return true;
+    std::fprintf(err, "granula %s: %s\n", command, error_.c_str());
+    return false;
+  }
+
+ private:
+  void Fail(const std::string& name, const std::string& expected) {
+    if (error_.empty()) {
+      error_ = "bad --" + name + " '" + flags_.Get(name) + "' (expected " +
+               expected + ")";
+    }
+  }
+
+  const Flags& flags_;
+  std::string error_;
 };
 
 // ------------------------------------------------------------ helpers ----
@@ -511,7 +559,7 @@ Result<int> CmdCompare(const Flags& flags, std::FILE* out) {
   return report.HasRegressions() ? kExitRegressions : kExitOk;
 }
 
-Result<int> CmdWatch(const Flags& flags, std::FILE* out) {
+Result<int> CmdWatch(const Flags& flags, std::FILE* out, std::FILE* err) {
   if (!flags.Has("log")) {
     return Status::InvalidArgument(
         "watch requires --log=FILE (the JSONL live log of a running job, "
@@ -520,20 +568,20 @@ Result<int> CmdWatch(const Flags& flags, std::FILE* out) {
   GRANULA_ASSIGN_OR_RETURN(core::PerformanceModel model,
                            ModelByName(flags.Get("model", "giraph")));
   core::WatchOptions options;
+  NumericFlags nums(flags);
   options.log_path = flags.Get("log");
-  options.timeout_s = flags.GetDouble("timeout", 30.0);
-  options.poll_interval_ms = flags.GetDouble("poll-ms", 50.0);
-  options.max_depth = static_cast<int>(flags.GetInt("depth", 3));
+  options.timeout_s = nums.NonNegative("timeout", 30.0);
+  options.max_depth = static_cast<int>(nums.Uint("depth", 3, 0, INT_MAX));
   options.ansi = flags.Has("ansi");
   options.quiet = flags.Has("quiet");
-  options.stall_timeout_s = flags.GetDouble("stall-timeout", 0.0);
   options.alert_jsonl_path = flags.Get("alert-log");
-  options.archiver.max_level =
-      static_cast<int>(flags.GetInt("model-level", 0));
-  if (flags.Has("capacity")) {
-    options.chokepoints.cluster_cpu_capacity =
-        flags.GetDouble("capacity", 0.0);
-  }
+  options.fleet.poll_interval_ms = nums.NonNegative("poll-ms", 50.0);
+  options.fleet.stall_timeout_s = nums.NonNegative("stall-timeout", 0.0);
+  options.fleet.archiver.max_level =
+      static_cast<int>(nums.Uint("model-level", 0, 0, INT_MAX));
+  options.fleet.chokepoints.cluster_cpu_capacity = nums.NonNegative(
+      "capacity", options.fleet.chokepoints.cluster_cpu_capacity);
+  if (!nums.Ok(err, "watch")) return kExitUsage;
   GRANULA_ASSIGN_OR_RETURN(core::WatchSummary summary,
                            core::WatchLog(model, options, out));
   if (flags.Has("archive-out") && summary.archive.root != nullptr) {
@@ -700,31 +748,13 @@ Result<int> CmdServe(const Flags& flags, std::FILE* out, std::FILE* err) {
   }
 
   serve::ServerOptions options;
+  NumericFlags nums(flags);
   options.host = flags.Get("host", "127.0.0.1");
-  Result<uint64_t> port = ParseUint64(flags.Get("port", "8080"));
-  if (!port.ok() || *port > 65535) {
-    std::fprintf(err, "granula serve: bad --port '%s' (expected 0-65535)\n",
-                 flags.Get("port", "8080").c_str());
-    return kExitUsage;
-  }
-  options.port = static_cast<int>(*port);
-  Result<uint64_t> threads = ParseUint64(flags.Get("threads", "0"));
-  if (!threads.ok() || *threads > 1024) {
-    std::fprintf(err,
-                 "granula serve: bad --threads '%s' (expected 0-1024; 0 = "
-                 "every host-pool thread)\n",
-                 flags.Get("threads", "0").c_str());
-    return kExitUsage;
-  }
-  Result<uint64_t> timeout = ParseUint64(flags.Get("timeout-ms", "5000"));
-  if (!timeout.ok() || *timeout == 0 || *timeout > 3600000) {
-    std::fprintf(err,
-                 "granula serve: bad --timeout-ms '%s' (expected 1-3600000)\n",
-                 flags.Get("timeout-ms", "5000").c_str());
-    return kExitUsage;
-  }
-  options.timeout_ms = static_cast<int>(*timeout);
-  options.threads = static_cast<int>(*threads);
+  options.port = static_cast<int>(nums.Uint("port", 8080, 0, 65535));
+  options.threads = static_cast<int>(nums.Uint("threads", 0, 0, 1024));
+  options.timeout_ms =
+      static_cast<int>(nums.Uint("timeout-ms", 5000, 1, 3600000));
+  if (!nums.Ok(err, "serve")) return kExitUsage;
   // More workers than the host pool has threads would never run (the
   // pool executes exactly one job); grow the pool to match.
   if (options.threads > ThreadPool::Global().num_threads()) {
@@ -770,9 +800,9 @@ Result<int> CmdServe(const Flags& flags, std::FILE* out, std::FILE* err) {
   return kExitOk;
 }
 
-// --source=NAME=file:PATH or NAME=tcp://HOST:PORT[/PATH]. A /PATH turns
-// the TCP follower into HTTP-chunked mode against `granula feed`'s GET
-// endpoint; without it the raw FEED protocol is spoken.
+// --source=NAME=file:PATH or NAME=tcp://HOST:PORT[/PATH]. A TCP source
+// follows the feed over HTTP, GETting PATH (default "/") with a Range
+// header that carries its resume offset.
 Result<std::pair<std::string, std::unique_ptr<core::RecordSource>>>
 ParseSourceSpec(const std::string& spec, int reconnect_budget) {
   size_t eq = spec.find('=');
@@ -799,10 +829,10 @@ ParseSourceSpec(const std::string& spec, int reconnect_budget) {
         "' (expected NAME=file:PATH or NAME=tcp://HOST:PORT[/PATH])");
   }
   std::string rest = target.substr(6);
-  std::string http_path;
+  core::TcpRecordSource::Options options;
   size_t slash = rest.find('/');
   if (slash != std::string::npos) {
-    http_path = rest.substr(slash);  // keep the leading '/'
+    options.path = rest.substr(slash);  // keep the leading '/'
     rest = rest.substr(0, slash);
   }
   size_t colon = rest.rfind(':');
@@ -816,10 +846,8 @@ ParseSourceSpec(const std::string& spec, int reconnect_budget) {
                                    "': bad port '" + rest.substr(colon + 1) +
                                    "'");
   }
-  core::TcpRecordSource::Options options;
   options.host = rest.substr(0, colon);
   options.port = static_cast<int>(*port);
-  options.http_path = std::move(http_path);
   options.disconnect_budget = reconnect_budget;
   return std::make_pair(std::move(name),
                         std::unique_ptr<core::RecordSource>(
@@ -840,32 +868,27 @@ Result<int> CmdFleet(const Flags& flags, std::FILE* out, std::FILE* err) {
     return kExitUsage;
   }
 
+  NumericFlags nums(flags);
   serve::ServerOptions server_options;
   server_options.host = flags.Get("host", "127.0.0.1");
-  Result<uint64_t> port = ParseUint64(flags.Get("port", "8090"));
-  if (!port.ok() || *port > 65535) {
-    std::fprintf(err, "granula fleet: bad --port '%s' (expected 0-65535)\n",
-                 flags.Get("port", "8090").c_str());
-    return kExitUsage;
-  }
-  server_options.port = static_cast<int>(*port);
-  Result<uint64_t> threads = ParseUint64(flags.Get("threads", "0"));
-  if (!threads.ok() || *threads > 1024) {
-    std::fprintf(err,
-                 "granula fleet: bad --threads '%s' (expected 0-1024)\n",
-                 flags.Get("threads", "0").c_str());
-    return kExitUsage;
-  }
-  server_options.threads = static_cast<int>(*threads);
-  Result<uint64_t> timeout = ParseUint64(flags.Get("timeout-ms", "5000"));
-  if (!timeout.ok() || *timeout == 0 || *timeout > 3600000) {
-    std::fprintf(err,
-                 "granula fleet: bad --timeout-ms '%s' (expected "
-                 "1-3600000)\n",
-                 flags.Get("timeout-ms", "5000").c_str());
-    return kExitUsage;
-  }
-  server_options.timeout_ms = static_cast<int>(*timeout);
+  server_options.port = static_cast<int>(nums.Uint("port", 8090, 0, 65535));
+  server_options.threads = static_cast<int>(nums.Uint("threads", 0, 0, 1024));
+  server_options.timeout_ms =
+      static_cast<int>(nums.Uint("timeout-ms", 5000, 1, 3600000));
+  core::FleetOptions fleet_options;
+  fleet_options.queue_capacity =
+      static_cast<size_t>(nums.Uint("queue-cap", 8192, 0, SIZE_MAX));
+  fleet_options.stall_timeout_s = nums.NonNegative("stall-timeout", 0);
+  fleet_options.poll_interval_ms = nums.NonNegative("poll-ms", 20);
+  core::RetrySinkOptions retry_options;
+  retry_options.max_attempts =
+      static_cast<uint32_t>(nums.Uint("alert-retries", 4, 0, UINT32_MAX));
+  retry_options.dead_letter_path = flags.Get("dead-letter");
+  const int alert_timeout_ms =
+      static_cast<int>(nums.Uint("alert-timeout-ms", 1000, 0, INT_MAX));
+  const int reconnect_budget =
+      static_cast<int>(nums.Uint("reconnect-budget", 8, 0, INT_MAX));
+  if (!nums.Ok(err, "fleet")) return kExitUsage;
   if (server_options.threads > ThreadPool::Global().num_threads()) {
     ThreadPool::Global().Resize(server_options.threads);
   }
@@ -873,24 +896,13 @@ Result<int> CmdFleet(const Flags& flags, std::FILE* out, std::FILE* err) {
   GRANULA_ASSIGN_OR_RETURN(core::PerformanceModel default_model,
                            ModelByName(flags.Get("model", "giraph")));
 
-  core::FleetOptions fleet_options;
   fleet_options.repo_dir = root;
   fleet_options.model_resolver = &ModelByName;
-  fleet_options.queue_capacity =
-      static_cast<size_t>(flags.GetInt("queue-cap", 8192));
-  fleet_options.stall_timeout_s = flags.GetDouble("stall-timeout", 0);
-  fleet_options.poll_interval_ms = flags.GetDouble("poll-ms", 20);
   core::FleetSupervisor fleet(std::move(default_model),
                               std::move(fleet_options));
 
   // Alert sinks: hardened webhook / command-hook deliveries plus an
   // optional local JSONL log. Delivery counters surface on /stats.
-  core::RetrySinkOptions retry_options;
-  retry_options.max_attempts =
-      static_cast<uint32_t>(flags.GetInt("alert-retries", 4));
-  retry_options.dead_letter_path = flags.Get("dead-letter");
-  const int alert_timeout_ms =
-      static_cast<int>(flags.GetInt("alert-timeout-ms", 1000));
   std::vector<std::shared_ptr<core::RetryingAlertSink>> retry_sinks;
   for (const std::string& url : flags.GetAll("webhook")) {
     Result<std::unique_ptr<core::WebhookDelivery>> delivery =
@@ -918,8 +930,6 @@ Result<int> CmdFleet(const Flags& flags, std::FILE* out, std::FILE* err) {
     fleet.AddAlertSink(std::shared_ptr<core::AlertSink>(std::move(jsonl)));
   }
 
-  const int reconnect_budget =
-      static_cast<int>(flags.GetInt("reconnect-budget", 8));
   for (const std::string& spec : flags.GetAll("source")) {
     auto source = ParseSourceSpec(spec, reconnect_budget);
     if (!source.ok()) {
@@ -991,8 +1001,8 @@ Result<int> CmdFleet(const Flags& flags, std::FILE* out, std::FILE* err) {
 }
 
 // granula feed — serves a JSONL log file to TcpRecordSource followers
-// (raw FEED protocol and HTTP-chunked on the same port). Exit 64 on bad
-// flags, 1 when the address cannot be bound.
+// over HTTP (chunked, resumable with Range). Exit 64 on bad flags, 1 when
+// the address cannot be bound.
 Result<int> CmdFeed(const Flags& flags, std::FILE* out, std::FILE* err) {
   const std::string log = flags.Get("log");
   if (log.empty()) {
@@ -1001,19 +1011,15 @@ Result<int> CmdFeed(const Flags& flags, std::FILE* out, std::FILE* err) {
                  "required\n");
     return kExitUsage;
   }
-  core::LogFeedServer::Options options;
+  serve::LogFeedServer::Options options;
+  NumericFlags nums(flags);
   options.path = log;
   options.host = flags.Get("host", "127.0.0.1");
-  Result<uint64_t> port = ParseUint64(flags.Get("port", "7070"));
-  if (!port.ok() || *port > 65535) {
-    std::fprintf(err, "granula feed: bad --port '%s' (expected 0-65535)\n",
-                 flags.Get("port", "7070").c_str());
-    return kExitUsage;
-  }
-  options.port = static_cast<int>(*port);
-  options.poll_interval_ms = flags.GetDouble("poll-ms", 5);
+  options.port = static_cast<int>(nums.Uint("port", 7070, 0, 65535));
+  options.poll_interval_ms = nums.NonNegative("poll-ms", 5);
+  if (!nums.Ok(err, "feed")) return kExitUsage;
 
-  core::LogFeedServer feed(options);
+  serve::LogFeedServer feed(options);
   Status started = feed.Start();
   if (!started.ok()) {
     std::fprintf(err, "granula feed: %s\n", started.ToString().c_str());
@@ -1073,7 +1079,7 @@ int RunGranula(const std::vector<std::string>& args, std::FILE* out,
   } else if (command == "compare") {
     code = CmdCompare(*flags, out);
   } else if (command == "watch") {
-    code = CmdWatch(*flags, out);
+    code = CmdWatch(*flags, out, err);
   } else if (command == "list") {
     code = CmdList(*flags, out);
   } else if (command == "query") {

@@ -224,6 +224,12 @@ Result<std::vector<SweepJob>> ExpandSweep(const SweepSpec& spec) {
   std::set<std::string> names;
   for (const std::string& platform_name : platforms) {
     for (size_t a = 0; a < algorithms.size(); ++a) {
+      // An engine without a program for the algorithm would fail only once
+      // its job runs — after earlier jobs were already saved.
+      algo::AlgorithmSpec algorithm;
+      algorithm.id = algorithms[a];
+      GRANULA_RETURN_IF_ERROR(
+          platform::CheckPlatformSupports(platform_name, algorithm));
       for (const std::string& graph_spec : spec.graphs) {
         for (uint32_t nodes : spec.node_counts) {
           for (const auto& [fault_name, fault_plan] : faults) {

@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "granula/models/models.h"
+#include "platforms/engine_job.h"
 #include "platforms/giraph.h"
 #include "platforms/graphmat.h"
 #include "platforms/hadoop.h"
@@ -13,6 +14,38 @@
 namespace granula::platform {
 namespace {
 
+// One simulated engine: its canonical name, paired performance model, the
+// program type it runs (which decides the algorithms it supports) and a
+// default-configured run.
+struct Engine {
+  const char* name;
+  core::PerformanceModel (*model)();
+  Status (*supports)(const algo::AlgorithmSpec&);
+  Result<JobResult> (*run)(const graph::Graph&, const algo::AlgorithmSpec&,
+                           const cluster::ClusterConfig&, const JobConfig&);
+};
+
+template <typename Platform>
+Result<JobResult> RunDefault(const graph::Graph& graph,
+                             const algo::AlgorithmSpec& spec,
+                             const cluster::ClusterConfig& cluster_config,
+                             const JobConfig& job_config) {
+  return Platform().Run(graph, spec, cluster_config, job_config);
+}
+
+constexpr Engine kEngines[] = {
+    {"giraph", core::MakeGiraphModel, CheckProgram<algo::PregelProgram>,
+     RunDefault<GiraphPlatform>},
+    {"powergraph", core::MakePowerGraphModel, CheckProgram<algo::GasProgram>,
+     RunDefault<PowerGraphPlatform>},
+    {"graphmat", core::MakeGraphMatModel, CheckProgram<algo::GasProgram>,
+     RunDefault<GraphMatPlatform>},
+    {"pgxd", core::MakePgxdModel, CheckProgram<algo::GasProgram>,
+     RunDefault<PgxdPlatform>},
+    {"hadoop", core::MakeHadoopModel, CheckProgram<algo::PregelProgram>,
+     RunDefault<HadoopPlatform>},
+};
+
 std::string UnknownPlatformMessage(const std::string& name) {
   std::string message = "unknown platform '" + name + "' (";
   const std::vector<std::string>& names = ImplementedPlatformNames();
@@ -21,6 +54,15 @@ std::string UnknownPlatformMessage(const std::string& name) {
     message += names[i];
   }
   return message + ")";
+}
+
+Result<const Engine*> FindEngine(const std::string& name) {
+  GRANULA_ASSIGN_OR_RETURN(std::string canonical, ResolvePlatformName(name));
+  for (const Engine& engine : kEngines) {
+    if (canonical == engine.name) return &engine;
+  }
+  return Status::Internal("registry lists '" + canonical +
+                          "' as implemented but no engine is wired up");
 }
 
 }  // namespace
@@ -58,14 +100,18 @@ Result<std::string> ResolvePlatformName(const std::string& name) {
 }
 
 Result<core::PerformanceModel> ModelForPlatform(const std::string& name) {
-  GRANULA_ASSIGN_OR_RETURN(std::string canonical, ResolvePlatformName(name));
-  if (canonical == "giraph") return core::MakeGiraphModel();
-  if (canonical == "powergraph") return core::MakePowerGraphModel();
-  if (canonical == "graphmat") return core::MakeGraphMatModel();
-  if (canonical == "pgxd") return core::MakePgxdModel();
-  if (canonical == "hadoop") return core::MakeHadoopModel();
-  return Status::Internal("registry lists '" + canonical +
-                          "' as implemented but no model is wired up");
+  GRANULA_ASSIGN_OR_RETURN(const Engine* engine, FindEngine(name));
+  return engine->model();
+}
+
+Status CheckPlatformSupports(const std::string& name,
+                             const algo::AlgorithmSpec& spec) {
+  GRANULA_ASSIGN_OR_RETURN(const Engine* engine, FindEngine(name));
+  Status supported = engine->supports(spec);
+  if (supported.ok()) return supported;
+  return Status::InvalidArgument(
+      std::string(engine->name) + " cannot run " +
+      std::string(algo::AlgorithmName(spec.id)) + ": " + supported.message());
 }
 
 Result<JobResult> RunForPlatform(const std::string& name,
@@ -73,24 +119,8 @@ Result<JobResult> RunForPlatform(const std::string& name,
                                  const algo::AlgorithmSpec& spec,
                                  const cluster::ClusterConfig& cluster_config,
                                  const JobConfig& job_config) {
-  GRANULA_ASSIGN_OR_RETURN(std::string canonical, ResolvePlatformName(name));
-  if (canonical == "giraph") {
-    return GiraphPlatform().Run(graph, spec, cluster_config, job_config);
-  }
-  if (canonical == "powergraph") {
-    return PowerGraphPlatform().Run(graph, spec, cluster_config, job_config);
-  }
-  if (canonical == "graphmat") {
-    return GraphMatPlatform().Run(graph, spec, cluster_config, job_config);
-  }
-  if (canonical == "pgxd") {
-    return PgxdPlatform().Run(graph, spec, cluster_config, job_config);
-  }
-  if (canonical == "hadoop") {
-    return HadoopPlatform().Run(graph, spec, cluster_config, job_config);
-  }
-  return Status::Internal("registry lists '" + canonical +
-                          "' as implemented but no engine is wired up");
+  GRANULA_ASSIGN_OR_RETURN(const Engine* engine, FindEngine(name));
+  return engine->run(graph, spec, cluster_config, job_config);
 }
 
 }  // namespace granula::platform

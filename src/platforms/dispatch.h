@@ -35,6 +35,13 @@ Result<std::string> ResolvePlatformName(const std::string& name);
 // listing the valid names.
 Result<core::PerformanceModel> ModelForPlatform(const std::string& name);
 
+// OK when the named engine has a program for `spec`'s algorithm, else
+// InvalidArgument naming both. The verdict is the engine's own program
+// factory's, so a sweep or run can refuse an unsupported pair before any
+// job starts.
+Status CheckPlatformSupports(const std::string& name,
+                             const algo::AlgorithmSpec& spec);
+
 // Runs one job on the named engine, or InvalidArgument listing the valid
 // names. `name` is matched canonically, so "PGX.D" and "pgxd" both work.
 Result<JobResult> RunForPlatform(const std::string& name,

@@ -1,25 +1,20 @@
 #include "platforms/giraph.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "algorithms/pregel.h"
-#include "cluster/monitor.h"
 #include "cluster/provisioning.h"
 #include "cluster/storage.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
-#include "granula/models/models.h"
 #include "graph/partition.h"
+#include "platforms/engine_job.h"
 #include "platforms/message_store.h"
-#include "sim/simulator.h"
 #include "sim/sync.h"
 
 namespace granula::platform {
 
 namespace {
 
-using core::JobLogger;
 using core::OpId;
 using graph::VertexId;
 
@@ -37,44 +32,33 @@ cluster::Hdfs::Options HdfsOptionsFor(
   return options;
 }
 
-// One full Giraph job execution inside a private simulator. The class holds
-// the cross-coroutine state (values, message store, barriers); Main() is
-// the job driver and spawns per-worker coroutines per phase.
-class GiraphJob {
+// One full Giraph job on the shared harness. The class holds the
+// cross-coroutine state (message store, barriers, checkpoint bookkeeping);
+// the master drives supersteps and spawns per-worker coroutines per phase.
+class GiraphJob : public EngineJob {
  public:
+  using Program = algo::PregelProgram;
+
   GiraphJob(const GiraphCostModel& cost, const graph::Graph& graph,
             const algo::PregelProgram& program,
             const cluster::ClusterConfig& cluster_config,
             const JobConfig& job_config)
-      : cost_(cost),
-        graph_(graph),
+      : EngineJob(graph, cluster_config, job_config),
+        cost_(cost),
         program_(program),
-        job_config_(job_config),
-        cluster_(&sim_, cluster_config),
         hdfs_(&cluster_, HdfsOptionsFor(cluster_config)),
         yarn_(&cluster_, cluster::YarnManager::Options{}),
         zk_(&cluster_, /*server_node=*/0, cluster::ZooKeeper::Options{}),
-        monitor_(&cluster_, job_config.monitor_interval),
-        logger_([this] { return sim_.Now(); }),
         start_barrier_(&sim_, static_cast<int>(job_config.num_workers) + 1),
         end_barrier_(&sim_, static_cast<int>(job_config.num_workers) + 1),
-        messages_(graph.num_vertices(), program.combiner()),
-        injector_(job_config_.faults) {}
+        messages_(graph.num_vertices(), program.combiner()) {}
 
-  Status Execute(JobResult* out) {
+ private:
+  const char* JobName() const override { return "GiraphJob"; }
+
+  Status Setup() override {
     const uint32_t workers = job_config_.num_workers;
-    if (workers == 0 || workers > cluster_.num_nodes()) {
-      return Status::InvalidArgument(
-          "num_workers must be in [1, num_nodes]");
-    }
-    InstallLogWriteFaults(&logger_, job_config_.faults);
-    if (!job_config_.live_log_path.empty()) {
-      GRANULA_RETURN_IF_ERROR(logger_.StreamTo(
-          job_config_.live_log_path, job_config_.live_log_delay_us));
-    }
-
     // Input file on HDFS (what LoadGraph reads).
-    input_bytes_ = graph::EdgeListFileBytes(graph_);
     GRANULA_RETURN_IF_ERROR(hdfs_.CreateFile("/input/graph.e", input_bytes_));
 
     // Partition (edge cut) and initialize algorithm state.
@@ -100,59 +84,15 @@ class GiraphJob {
     // owned vertices). Built on the host pool.
     adjacency_ = graph::Csr::BuildUndirected(graph_.num_vertices(),
                                              graph_.edges());
-
-    sim_.Spawn(Main());
-    sim_.Run();
-
-    logger_.StopStreaming();
-    if (!job_status_.ok()) return job_status_;
-    out->vertex_values = values_;
-    out->records = logger_.TakeRecords();
-    out->environment = ToEnvironmentRecords(monitor_.samples());
-    out->supersteps = superstep_;
-    out->total_seconds = sim_.Now().seconds();
-    out->network_bytes = cluster_.network_bytes_sent();
-    out->completed = !job_failed_;
-    out->failed_attempts = failed_attempts_;
-    out->restarts = restarts_;
-    out->lost_seconds = lost_time_.seconds();
     return Status::OK();
   }
 
- private:
   uint32_t WorkerNode(uint32_t w) const { return containers_[w].node; }
   sim::Cpu& WorkerCpu(uint32_t w) { return cluster_.node(WorkerNode(w)).cpu(); }
 
-  // ------------------------------------------------------------- driver --
-  sim::Task<> Main() {
-    monitor_.Start();
-    OpId root = logger_.StartOperation(core::kNoOp, core::ops::kJobActor,
-                                       job_config_.job_id,
-                                       core::ops::kJobMission, "GiraphJob");
-    co_await RunStartup(root);
-    co_await RunLoadGraph(root);
-    if (!job_failed_) co_await RunProcessGraph(root);
-    if (job_failed_) {
-      // Retries exhausted: the job dies here. The root (and the failed
-      // phase) stay open — lint repairs them and the archive is marked
-      // kIncomplete, exactly like a truncated real-world capture.
-      monitor_.Stop();
-      co_return;
-    }
-    if (job_config_.offload_results) co_await RunOffloadGraph(root);
-    co_await RunCleanup(root);
-    logger_.AddInfo(root, "NetworkBytes",
-                    Json(cluster_.network_bytes_sent()));
-    logger_.EndOperation(root);
-    monitor_.Stop();
-  }
-
   // ------------------------------------------------------------ startup --
-  sim::Task<> RunStartup(OpId root) {
-    OpId startup =
-        logger_.StartOperation(root, core::ops::kJobActor,
-                               job_config_.job_id, core::ops::kStartup,
-                               core::ops::kStartup);
+  sim::Task<> RunStartup(OpId root) override {
+    OpId startup = StartJobOperation(root, core::ops::kStartup);
 
     OpId job_startup = logger_.StartOperation(startup, "Master", "Master-0",
                                               "JobStartup", "JobStartup");
@@ -164,11 +104,8 @@ class GiraphJob {
                                          "LaunchWorkers", "LaunchWorkers");
     co_await yarn_.AllocateContainers(0, job_config_.num_workers,
                                       &containers_);
-    std::vector<sim::ProcessHandle> locals;
-    for (uint32_t w = 0; w < job_config_.num_workers; ++w) {
-      locals.push_back(sim_.Spawn(WorkerLocalStartup(launch, w)));
-    }
-    co_await sim::JoinAll(std::move(locals));
+    co_await ForEachWorker(
+        [this, launch](uint32_t w) { return WorkerLocalStartup(launch, w); });
     logger_.EndOperation(launch);
     logger_.EndOperation(startup);
   }
@@ -185,16 +122,10 @@ class GiraphJob {
   }
 
   // --------------------------------------------------------- load graph --
-  sim::Task<> RunLoadGraph(OpId root) {
-    OpId load = logger_.StartOperation(root, core::ops::kJobActor,
-                                       job_config_.job_id,
-                                       core::ops::kLoadGraph,
-                                       core::ops::kLoadGraph);
-    std::vector<sim::ProcessHandle> loaders;
-    for (uint32_t w = 0; w < job_config_.num_workers; ++w) {
-      loaders.push_back(sim_.Spawn(WorkerLoad(load, w)));
-    }
-    co_await sim::JoinAll(std::move(loaders));
+  sim::Task<> RunLoadGraph(OpId root) override {
+    OpId load = StartJobOperation(root, core::ops::kLoadGraph);
+    co_await ForEachWorker(
+        [this, load](uint32_t w) { return WorkerLoad(load, w); });
     logger_.EndOperation(load);
   }
 
@@ -206,29 +137,13 @@ class GiraphJob {
     // errors): each failed attempt is a real child operation — a partial
     // read, the failure, and the retry backoff — before the load below
     // runs clean.
-    if (injector_.enabled()) {
-      uint32_t attempt = 0;
-      while (const sim::FaultSpec* fault = injector_.LoadFault(w, attempt)) {
-        OpId failed = logger_.StartOperation(
-            op, "Worker", StrFormat("Worker-%u", w + 1),
-            core::ops::kFailedAttempt,
-            StrFormat("FailedAttempt-load-%u-%u", w + 1, attempt + 1));
-        SimTime began = sim_.Now();
-        co_await sim_.Delay(fault->work_before_crash);
-        co_await sim_.Delay(injector_.Backoff(attempt));
-        SimTime lost = sim_.Now() - began;
-        logger_.AddInfo(failed, "Attempt", Json(static_cast<int64_t>(attempt) + 1));
-        logger_.AddInfo(failed, "LostTime", Json(lost.nanos()));
-        logger_.EndOperation(failed);
-        ++failed_attempts_;
-        lost_time_ += lost;
-        ++attempt;
-        if (attempt >= injector_.policy().max_attempts) {
-          job_failed_ = true;
-          logger_.EndOperation(op);
-          co_return;
-        }
-      }
+    if (!co_await RetryLoad(op, "Worker", StrFormat("Worker-%u", w + 1),
+                            StrFormat("FailedAttempt-load-%u-", w + 1),
+                            [this, w](uint32_t attempt) {
+                              return injector_.LoadFault(w, attempt);
+                            })) {
+      logger_.EndOperation(op);
+      co_return;
     }
     // Workers split the input by block index (Giraph input splits).
     auto blocks = hdfs_.GetBlocks("/input/graph.e");
@@ -264,11 +179,8 @@ class GiraphJob {
     return active_total_ > 0 || messages_.current_total() > 0;
   }
 
-  sim::Task<> RunProcessGraph(OpId root) {
-    process_op_ = logger_.StartOperation(root, core::ops::kJobActor,
-                                         job_config_.job_id,
-                                         core::ops::kProcessGraph,
-                                         core::ops::kProcessGraph);
+  sim::Task<> RunProcessGraph(OpId root) override {
+    process_op_ = StartJobOperation(root, core::ops::kProcessGraph);
     std::vector<sim::ProcessHandle> loops;
     for (uint32_t w = 0; w < job_config_.num_workers; ++w) {
       loops.push_back(sim_.Spawn(WorkerProcessLoop(w)));
@@ -282,7 +194,7 @@ class GiraphJob {
     while (true) {
       uint64_t max_steps = program_.max_supersteps();
       if (!AnyComputeCandidate() ||
-          (max_steps > 0 && superstep_ >= max_steps)) {
+          (max_steps > 0 && iteration_ >= max_steps)) {
         process_done_ = true;
         co_await start_barrier_.Arrive();
         break;
@@ -290,7 +202,7 @@ class GiraphJob {
       // Periodic checkpoint (real Giraph: superstep-granularity snapshots
       // to HDFS). Only under a non-empty fault plan, so fault-free runs
       // stay byte-identical.
-      if (next_checkpoint != 0 && superstep_ == next_checkpoint) {
+      if (next_checkpoint != 0 && iteration_ == next_checkpoint) {
         co_await RunCheckpoint();
         next_checkpoint += policy.checkpoint_interval;
       }
@@ -299,7 +211,7 @@ class GiraphJob {
       // timeout. Workers stay parked at the start barrier, and no
       // algorithm state moves — the retry recomputes from scratch.
       if (const sim::FaultSpec* crash =
-              injector_.enabled() ? injector_.CrashAt(superstep_, attempt)
+              injector_.enabled() ? injector_.CrashAt(iteration_, attempt)
                                   : nullptr) {
         co_await RunFailedSuperstep(*crash, attempt);
         ++attempt;
@@ -316,7 +228,7 @@ class GiraphJob {
       superstep_op_ = logger_.StartOperation(
           process_op_, "Master", "Master-0", "Superstep",
           StrFormat("Superstep-%llu",
-                    static_cast<unsigned long long>(superstep_)));
+                    static_cast<unsigned long long>(iteration_)));
       co_await start_barrier_.Arrive();  // release workers into superstep
       co_await end_barrier_.Arrive();    // wait for all workers
       logger_.EndOperation(superstep_op_);
@@ -325,12 +237,12 @@ class GiraphJob {
       OpId sync = logger_.StartOperation(
           process_op_, "Master", "Master-0", "SyncZookeeper",
           StrFormat("SyncZookeeper-%llu",
-                    static_cast<unsigned long long>(superstep_)));
+                    static_cast<unsigned long long>(iteration_)));
       for (uint32_t w = 0; w < job_config_.num_workers; ++w) {
         co_await zk_.Op(0);
       }
       messages_.Swap();
-      ++superstep_;
+      ++iteration_;
       attempt = 0;
       // What a restart would have to recompute since the last checkpoint.
       replay_cost_ += sim_.Now() - step_began;
@@ -338,7 +250,7 @@ class GiraphJob {
     }
     co_await sim::JoinAll(std::move(loops));
     if (job_failed_) co_return;  // leave ProcessGraph (and the root) open
-    logger_.AddInfo(process_op_, "Supersteps", Json(superstep_));
+    logger_.AddInfo(process_op_, "Supersteps", Json(iteration_));
     logger_.EndOperation(process_op_);
   }
 
@@ -348,15 +260,13 @@ class GiraphJob {
     OpId checkpoint = logger_.StartOperation(
         process_op_, "Master", "Master-0", core::ops::kCheckpoint,
         StrFormat("Checkpoint-%llu",
-                  static_cast<unsigned long long>(superstep_)));
-    logger_.AddInfo(checkpoint, "Superstep", Json(superstep_));
-    std::vector<sim::ProcessHandle> writers;
-    for (uint32_t w = 0; w < job_config_.num_workers; ++w) {
-      writers.push_back(sim_.Spawn(WorkerCheckpoint(checkpoint, w)));
-    }
-    co_await sim::JoinAll(std::move(writers));
+                  static_cast<unsigned long long>(iteration_)));
+    logger_.AddInfo(checkpoint, "Superstep", Json(iteration_));
+    co_await ForEachWorker([this, checkpoint](uint32_t w) {
+      return WorkerCheckpoint(checkpoint, w);
+    });
     logger_.EndOperation(checkpoint);
-    last_checkpoint_step_ = superstep_;
+    last_checkpoint_step_ = iteration_;
     replay_cost_ = SimTime();
   }
 
@@ -365,7 +275,7 @@ class GiraphJob {
         parent, "Worker", StrFormat("Worker-%u", w + 1),
         core::ops::kCheckpoint,
         StrFormat("Checkpoint-%llu-%u",
-                  static_cast<unsigned long long>(superstep_), w + 1));
+                  static_cast<unsigned long long>(iteration_), w + 1));
     uint64_t bytes = cost_.checkpoint_bytes_per_vertex *
                      partition_.partitions[w].vertices.size();
     co_await hdfs_.WriteFromNode(WorkerNode(w),
@@ -382,12 +292,12 @@ class GiraphJob {
         process_op_, "Worker", StrFormat("Worker-%u", crash.worker + 1),
         core::ops::kFailedAttempt,
         StrFormat("FailedAttempt-%llu-%u",
-                  static_cast<unsigned long long>(superstep_), attempt + 1));
+                  static_cast<unsigned long long>(iteration_), attempt + 1));
     SimTime began = sim_.Now();
     co_await sim_.Delay(crash.work_before_crash);
     co_await sim_.Delay(injector_.policy().detect_timeout);
     SimTime lost = sim_.Now() - began;
-    logger_.AddInfo(failed, "Superstep", Json(superstep_));
+    logger_.AddInfo(failed, "Superstep", Json(iteration_));
     logger_.AddInfo(failed, "Attempt", Json(static_cast<int64_t>(attempt) + 1));
     logger_.AddInfo(failed, "CrashedWorker",
                     Json(StrFormat("Worker-%u", crash.worker + 1)));
@@ -403,7 +313,7 @@ class GiraphJob {
     OpId restart = logger_.StartOperation(
         process_op_, "Master", "Master-0", core::ops::kRestart,
         StrFormat("Restart-%llu-%u",
-                  static_cast<unsigned long long>(superstep_), attempt));
+                  static_cast<unsigned long long>(iteration_), attempt));
     SimTime began = sim_.Now();
     co_await sim_.Delay(injector_.Backoff(attempt - 1));
     std::vector<cluster::YarnManager::Container> replacement;
@@ -422,7 +332,7 @@ class GiraphJob {
     SimTime lost = sim_.Now() - began;
     logger_.AddInfo(restart, "Attempt", Json(static_cast<int64_t>(attempt)));
     logger_.AddInfo(restart, "ReplayedSupersteps",
-                    Json(superstep_ - last_checkpoint_step_));
+                    Json(iteration_ - last_checkpoint_step_));
     logger_.AddInfo(restart, "LostTime", Json(lost.nanos()));
     logger_.EndOperation(restart);
     ++restarts_;
@@ -468,7 +378,7 @@ class GiraphJob {
     }
 
     VertexId vertex_id() const override { return vertex_; }
-    uint64_t superstep() const override { return job_->superstep_; }
+    uint64_t superstep() const override { return job_->iteration_; }
     uint64_t num_vertices() const override {
       return job_->graph_.num_vertices();
     }
@@ -515,7 +425,7 @@ class GiraphJob {
     OpId prestep = logger_.StartOperation(
         local, "Worker", actor_id, "PreStep",
         StrFormat("PreStep-%llu",
-                  static_cast<unsigned long long>(superstep_)));
+                  static_cast<unsigned long long>(iteration_)));
     co_await zk_.Op(WorkerNode(w));
     co_await sim_.Delay(cost_.prestep_overhead);
     logger_.EndOperation(prestep);
@@ -524,7 +434,7 @@ class GiraphJob {
     OpId compute = logger_.StartOperation(
         local, "Worker", actor_id, "Compute",
         StrFormat("Compute-%llu",
-                  static_cast<unsigned long long>(superstep_)));
+                  static_cast<unsigned long long>(iteration_)));
     uint64_t vertices_computed = 0;
     uint64_t messages_received = 0;
     uint64_t messages_sent = 0;
@@ -594,7 +504,7 @@ class GiraphJob {
     OpId message = logger_.StartOperation(
         local, "Worker", actor_id, "Message",
         StrFormat("Message-%llu",
-                  static_cast<unsigned long long>(superstep_)));
+                  static_cast<unsigned long long>(iteration_)));
     uint64_t bytes_sent = 0;
     for (uint32_t target = 0; target < job_config_.num_workers; ++target) {
       uint64_t bytes = remote_bytes[target];
@@ -609,7 +519,7 @@ class GiraphJob {
     OpId poststep = logger_.StartOperation(
         local, "Worker", actor_id, "PostStep",
         StrFormat("PostStep-%llu",
-                  static_cast<unsigned long long>(superstep_)));
+                  static_cast<unsigned long long>(iteration_)));
     co_await sim_.Delay(cost_.poststep_overhead);
     co_await end_barrier_.Arrive();
     logger_.EndOperation(poststep);
@@ -617,16 +527,10 @@ class GiraphJob {
   }
 
   // ----------------------------------------------------- offload graph --
-  sim::Task<> RunOffloadGraph(OpId root) {
-    OpId offload = logger_.StartOperation(root, core::ops::kJobActor,
-                                          job_config_.job_id,
-                                          core::ops::kOffloadGraph,
-                                          core::ops::kOffloadGraph);
-    std::vector<sim::ProcessHandle> writers;
-    for (uint32_t w = 0; w < job_config_.num_workers; ++w) {
-      writers.push_back(sim_.Spawn(WorkerOffload(offload, w)));
-    }
-    co_await sim::JoinAll(std::move(writers));
+  sim::Task<> RunOffloadGraph(OpId root) override {
+    OpId offload = StartJobOperation(root, core::ops::kOffloadGraph);
+    co_await ForEachWorker(
+        [this, offload](uint32_t w) { return WorkerOffload(offload, w); });
     logger_.EndOperation(offload);
   }
 
@@ -651,11 +555,8 @@ class GiraphJob {
   }
 
   // ------------------------------------------------------------ cleanup --
-  sim::Task<> RunCleanup(OpId root) {
-    OpId cleanup = logger_.StartOperation(root, core::ops::kJobActor,
-                                          job_config_.job_id,
-                                          core::ops::kCleanup,
-                                          core::ops::kCleanup);
+  sim::Task<> RunCleanup(OpId root) override {
+    OpId cleanup = StartJobOperation(root, core::ops::kCleanup);
     OpId job_cleanup = logger_.StartOperation(cleanup, "Master", "Master-0",
                                               "JobCleanup", "JobCleanup");
     OpId op = logger_.StartOperation(job_cleanup, "Master", "Master-0",
@@ -682,24 +583,17 @@ class GiraphJob {
 
   // --------------------------------------------------------------- state --
   const GiraphCostModel& cost_;
-  const graph::Graph& graph_;
   const algo::PregelProgram& program_;
-  JobConfig job_config_;
 
-  sim::Simulator sim_;
-  cluster::Cluster cluster_;
   cluster::Hdfs hdfs_;
   cluster::YarnManager yarn_;
   cluster::ZooKeeper zk_;
-  cluster::EnvironmentMonitor monitor_;
-  JobLogger logger_;
 
   sim::Barrier start_barrier_;
   sim::Barrier end_barrier_;
 
   graph::EdgeCutResult partition_;
   graph::Csr adjacency_;
-  std::vector<double> values_;
   std::vector<uint8_t> active_;
   // Frontier bookkeeping (replaces O(V) scans): live counts of active
   // vertices, total and per partition, updated with per-chunk deltas.
@@ -708,21 +602,13 @@ class GiraphJob {
   MessageStore messages_;
   std::vector<cluster::YarnManager::Container> containers_;
 
-  uint64_t input_bytes_ = 0;
-  uint64_t superstep_ = 0;
   bool process_done_ = false;
   OpId process_op_ = core::kNoOp;
   OpId superstep_op_ = core::kNoOp;
-  Status job_status_;
 
-  // Fault injection (inert when the plan is empty).
-  sim::FaultInjector injector_;
+  // Checkpoint/restart (inert when the fault plan is empty).
   uint64_t last_checkpoint_step_ = 0;
   SimTime replay_cost_;  // committed superstep time since last checkpoint
-  bool job_failed_ = false;
-  uint64_t failed_attempts_ = 0;
-  uint64_t restarts_ = 0;
-  SimTime lost_time_;
 };
 
 }  // namespace
@@ -731,11 +617,8 @@ Result<JobResult> GiraphPlatform::Run(
     const graph::Graph& graph, const algo::AlgorithmSpec& spec,
     const cluster::ClusterConfig& cluster_config,
     const JobConfig& job_config) const {
-  GRANULA_ASSIGN_OR_RETURN(auto program, algo::MakePregelProgram(spec));
-  GiraphJob job(cost_, graph, *program, cluster_config, job_config);
-  JobResult result;
-  GRANULA_RETURN_IF_ERROR(job.Execute(&result));
-  return result;
+  return RunEngineJob<GiraphJob>(cost_, graph, spec, cluster_config,
+                                job_config);
 }
 
 }  // namespace granula::platform

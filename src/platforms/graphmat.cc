@@ -1,209 +1,50 @@
 #include "platforms/graphmat.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "algorithms/gas.h"
-#include "cluster/monitor.h"
 #include "cluster/provisioning.h"
 #include "cluster/storage.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
-#include "granula/models/models.h"
 #include "graph/partition.h"
-#include "sim/simulator.h"
-#include "sim/sync.h"
+#include "platforms/gas_job.h"
 
 namespace granula::platform {
 
 namespace {
 
-using core::JobLogger;
 using core::OpId;
 using graph::VertexId;
 
-class GraphMatJob {
+class GraphMatJob : public GasJob {
  public:
   GraphMatJob(const GraphMatCostModel& cost, const graph::Graph& graph,
               const algo::GasProgram& program,
               const cluster::ClusterConfig& cluster_config,
               const JobConfig& job_config)
-      : cost_(cost),
-        graph_(graph),
-        program_(program),
-        job_config_(job_config),
-        cluster_(&sim_, cluster_config),
+      : GasJob(graph, program, cluster_config, job_config, "Rank"),
+        cost_(cost),
         sharedfs_(&cluster_, /*server_node=*/0),
-        mpi_(&cluster_, cluster::MpiLauncher::Options{}),
-        monitor_(&cluster_, job_config.monitor_interval),
-        logger_([this] { return sim_.Now(); }),
-        start_barrier_(&sim_, static_cast<int>(job_config.num_workers) + 1),
-        end_barrier_(&sim_, static_cast<int>(job_config.num_workers) + 1),
-        stage_barrier_(&sim_,
-                       std::max(1, static_cast<int>(job_config.num_workers))),
-        injector_(job_config_.faults) {
-    // A zero worker count is rejected in Execute(); the max(1, ...) only
-    // keeps the never-used barrier constructible until then.
-  }
+        mpi_(&cluster_, cluster::MpiLauncher::Options{}) {}
 
-  Status Execute(JobResult* out) {
-    const uint32_t ranks = job_config_.num_workers;
-    if (ranks == 0 || ranks > cluster_.num_nodes()) {
-      return Status::InvalidArgument("num_workers must be in [1, num_nodes]");
-    }
-    InstallLogWriteFaults(&logger_, job_config_.faults);
-    if (!job_config_.live_log_path.empty()) {
-      GRANULA_RETURN_IF_ERROR(logger_.StreamTo(
-          job_config_.live_log_path, job_config_.live_log_delay_us));
-    }
-    input_bytes_ = graph::EdgeListFileBytes(graph_);
+ private:
+  const char* JobName() const override { return "GraphMatJob"; }
+
+  Status Setup() override {
     GRANULA_RETURN_IF_ERROR(
         sharedfs_.CreateFile("/data/graph.e", input_bytes_));
     // Row partitioning: the matrix row of vertex v lives on its owner.
-    GRANULA_ASSIGN_OR_RETURN(partition_,
-                             graph::PartitionEdgeCut(graph_, ranks));
-
+    GRANULA_ASSIGN_OR_RETURN(
+        partition_, graph::PartitionEdgeCut(graph_, job_config_.num_workers));
     // Undirected adjacency in CSR form (the matrix slice rows), built on
     // the host pool; vertex degree comes from the CSR.
     adjacency_ = graph::Csr::BuildUndirected(graph_.num_vertices(),
                                              graph_.edges());
-    InitAlgorithmState();
-
-    sim_.Spawn(Main());
-    sim_.Run();
-    logger_.StopStreaming();
-
-    out->vertex_values = values_;
-    out->records = logger_.TakeRecords();
-    out->environment = ToEnvironmentRecords(monitor_.samples());
-    out->supersteps = iteration_;
-    out->total_seconds = sim_.Now().seconds();
-    out->network_bytes = cluster_.network_bytes_sent();
-    out->completed = !job_failed_;
-    out->failed_attempts = failed_attempts_;
-    out->restarts = restarts_;
-    out->lost_seconds = lost_time_.seconds();
     return Status::OK();
   }
 
- private:
-  sim::Cpu& RankCpu(uint32_t rank) { return cluster_.node(rank).cpu(); }
-  std::string RankActor(uint32_t rank) const {
-    return StrFormat("Rank-%u", rank);
-  }
-
-  sim::Task<> Main() {
-    monitor_.Start();
-    OpId root = logger_.StartOperation(
-        core::kNoOp, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kJobMission, "GraphMatJob");
-    // GraphMat (an MPI batch job) aborts and resubmits on failure: each
-    // doomed attempt replays the real startup/load/process phases inside
-    // a FailedAttempt operation up to the crash point.
-    const sim::RetryPolicy& policy = injector_.policy();
-    uint32_t attempt = 0;
-    while (injector_.enabled()) {
-      const sim::FaultSpec* fault = injector_.JobFault(attempt);
-      if (fault == nullptr) break;
-      co_await RunFailedAttempt(root, *fault, attempt);
-      ++attempt;
-      if (job_failed_ || attempt >= policy.max_attempts) {
-        job_failed_ = true;
-        monitor_.Stop();
-        co_return;  // root never closes: the archive is kIncomplete
-      }
-      co_await RunRestart(root, attempt);
-      ResetAlgorithmState();
-    }
-    co_await RunStartup(root);
-    co_await RunLoadGraph(root);
-    if (!job_failed_) co_await RunProcessGraph(root);
-    if (job_failed_) {
-      monitor_.Stop();
-      co_return;
-    }
-    if (job_config_.offload_results) co_await RunOffloadGraph(root);
-    co_await RunCleanup(root);
-    if (attempt > 0) {
-      logger_.AddInfo(root, "Attempts",
-                      Json(static_cast<int64_t>(attempt) + 1));
-    }
-    logger_.AddInfo(root, "NetworkBytes",
-                    Json(cluster_.network_bytes_sent()));
-    logger_.EndOperation(root);
-    monitor_.Stop();
-  }
-
-  sim::Task<> RunFailedAttempt(OpId root, const sim::FaultSpec& fault,
-                               uint32_t attempt) {
-    SimTime began = sim_.Now();
-    OpId op = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kFailedAttempt,
-        StrFormat("FailedAttempt-%u", attempt + 1));
-    crash_pending_ = true;
-    crash_at_iteration_ =
-        fault.kind == sim::FaultKind::kWorkerCrash ? fault.step : 0;
-    crash_worker_ = std::min(fault.worker, job_config_.num_workers - 1);
-    crash_work_ = fault.work_before_crash;
-    co_await RunStartup(op);
-    co_await RunLoadGraph(op);
-    if (!job_failed_) co_await RunProcessGraph(op);
-    crash_pending_ = false;
-    if (job_failed_) co_return;  // storage retries exhausted during load
-    SimTime lost = sim_.Now() - began;
-    logger_.AddInfo(op, "Attempt", Json(static_cast<int64_t>(attempt) + 1));
-    logger_.AddInfo(op, "CrashedWorker", Json(RankActor(crash_worker_)));
-    logger_.AddInfo(op, "CrashIteration", Json(crash_at_iteration_));
-    logger_.AddInfo(op, "LostTime",
-                    Json(static_cast<uint64_t>(lost.nanos())));
-    logger_.EndOperation(op);
-    ++failed_attempts_;
-    lost_time_ += lost;
-  }
-
-  sim::Task<> RunRestart(OpId root, uint32_t attempt) {
-    SimTime began = sim_.Now();
-    OpId op = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id, core::ops::kRestart,
-        StrFormat("Restart-%u", attempt));
-    co_await sim_.Delay(injector_.Backoff(attempt - 1));
-    co_await sim_.Delay(injector_.policy().resubmit_delay);
-    SimTime lost = sim_.Now() - began;
-    logger_.AddInfo(op, "Attempt", Json(static_cast<int64_t>(attempt) + 1));
-    logger_.AddInfo(op, "LostTime",
-                    Json(static_cast<uint64_t>(lost.nanos())));
-    logger_.EndOperation(op);
-    ++restarts_;
-    lost_time_ += lost;
-  }
-
-  // Attempt-scoped algorithm state. The CSR adjacency and partition are
-  // inputs, not state: they survive restarts.
-  void InitAlgorithmState() {
-    const uint64_t n = graph_.num_vertices();
-    values_.resize(n);
-    active_.assign(n, 0);
-    next_active_.assign(n, 0);
-    acc_.assign(n, 0.0);
-    acc_has_.assign(n, 0);
-    active_count_ = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      values_[v] = program_.InitialValue(v, n);
-      bool is_active = program_.InitiallyActive(v);
-      active_[v] = is_active ? 1 : 0;
-      if (is_active) ++active_count_;
-    }
-    next_active_count_ = 0;
-    iteration_ = 0;
-    process_done_ = false;
-  }
-  void ResetAlgorithmState() { InitAlgorithmState(); }
-
-  sim::Task<> RunStartup(OpId root) {
-    OpId startup = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id, core::ops::kStartup,
-        core::ops::kStartup);
+  sim::Task<> RunStartup(OpId root) override {
+    OpId startup = StartJobOperation(root, core::ops::kStartup);
     OpId launch = logger_.StartOperation(startup, "Mpi", "mpirun",
                                          "LaunchRanks", "LaunchRanks");
     co_await mpi_.LaunchRanks(job_config_.num_workers);
@@ -211,66 +52,43 @@ class GraphMatJob {
     logger_.EndOperation(startup);
   }
 
-  sim::Task<> RunLoadGraph(OpId root) {
-    OpId load = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kLoadGraph, core::ops::kLoadGraph);
-    std::vector<sim::ProcessHandle> loaders;
-    for (uint32_t rank = 0; rank < job_config_.num_workers; ++rank) {
-      loaders.push_back(sim_.Spawn(RankLoad(load, rank)));
-    }
-    co_await sim::JoinAll(std::move(loaders));
+  sim::Task<> RunLoadGraph(OpId root) override {
+    OpId load = StartJobOperation(root, core::ops::kLoadGraph);
+    co_await ForEachWorker(
+        [this, load](uint32_t rank) { return RankLoad(load, rank); });
     logger_.EndOperation(load);
   }
 
   sim::Task<> RankLoad(OpId parent, uint32_t rank) {
     OpId op = logger_.StartOperation(
-        parent, "Rank", RankActor(rank), "ReadSlice",
+        parent, "Rank", WorkerActor(rank), "ReadSlice",
         StrFormat("ReadSlice-%u", rank));
     // Parallel slice reads: the shared server's disk still serializes the
     // transfers, but parsing proceeds concurrently on every rank — much
     // better than PowerGraph's one-reader design, though worse than
     // Giraph's data-local HDFS blocks.
     uint64_t my_bytes = input_bytes_ / job_config_.num_workers;
-    if (injector_.enabled()) {
-      // Transient storage errors: the rank retries its slice read in
-      // place; each dead read is a FailedAttempt child of ReadSlice.
-      uint32_t retry = 0;
-      while (const sim::FaultSpec* fault =
-                 injector_.StorageFault(rank, retry)) {
-        SimTime began = sim_.Now();
-        OpId failed = logger_.StartOperation(
-            op, "Rank", RankActor(rank), core::ops::kFailedAttempt,
-            StrFormat("FailedAttempt-load-%u-%u", rank, retry + 1));
-        co_await sim_.Delay(fault->work_before_crash);
-        co_await sim_.Delay(injector_.Backoff(retry));
-        SimTime lost = sim_.Now() - began;
-        logger_.AddInfo(failed, "Attempt",
-                        Json(static_cast<int64_t>(retry) + 1));
-        logger_.AddInfo(failed, "LostTime",
-                        Json(static_cast<uint64_t>(lost.nanos())));
-        logger_.EndOperation(failed);
-        ++failed_attempts_;
-        lost_time_ += lost;
-        ++retry;
-        if (retry >= injector_.policy().max_attempts) {
-          job_failed_ = true;
-          logger_.EndOperation(op);
-          co_return;
-        }
-      }
+    // Transient storage errors: the rank retries its slice read in place;
+    // each dead read is a FailedAttempt child of ReadSlice.
+    if (!co_await RetryLoad(op, "Rank", WorkerActor(rank),
+                            StrFormat("FailedAttempt-load-%u-", rank),
+                            [this, rank](uint32_t retry) {
+                              return injector_.StorageFault(rank, retry);
+                            })) {
+      logger_.EndOperation(op);
+      co_return;
     }
     co_await sharedfs_.Read(rank, "/data/graph.e", my_bytes);
     co_await RunOnThreads(
-        &sim_, &RankCpu(rank),
+        &sim_, &WorkerCpu(rank),
         cost_.parse_cpu_per_byte * static_cast<double>(my_bytes),
         job_config_.compute_threads);
     OpId build = logger_.StartOperation(
-        op, "Rank", RankActor(rank), "BuildMatrix",
+        op, "Rank", WorkerActor(rank), "BuildMatrix",
         StrFormat("BuildMatrix-%u", rank));
     uint64_t local_edges = partition_.partitions[rank].edges.size();
     co_await RunOnThreads(
-        &sim_, &RankCpu(rank),
+        &sim_, &WorkerCpu(rank),
         cost_.matrix_build_per_edge * static_cast<double>(local_edges),
         job_config_.compute_threads);
     logger_.EndOperation(build);
@@ -278,85 +96,13 @@ class GraphMatJob {
     logger_.EndOperation(op);
   }
 
-  // O(1): the active-set size is maintained incrementally (Apply counts
-  // 0->1 transitions of next_active_) instead of scanning all vertices.
-  bool AnyActive() const { return active_count_ > 0; }
-
-  sim::Task<> RunProcessGraph(OpId root) {
-    process_op_ = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kProcessGraph, core::ops::kProcessGraph);
-    std::vector<sim::ProcessHandle> loops;
-    for (uint32_t rank = 0; rank < job_config_.num_workers; ++rank) {
-      loops.push_back(sim_.Spawn(RankProcessLoop(rank)));
-    }
-    while (true) {
-      uint64_t max_iters = program_.max_iterations();
-      bool capped = max_iters > 0 && iteration_ >= max_iters;
-      bool done = !AnyActive() || capped;
-      if (crash_pending_ && (done || iteration_ >= crash_at_iteration_)) {
-        // The victim dies partway into the iteration; the engine notices
-        // after the liveness timeout and aborts the whole job.
-        co_await sim_.Delay(crash_work_ + injector_.policy().detect_timeout);
-        process_done_ = true;
-        co_await start_barrier_.Arrive();
-        break;
-      }
-      if (done) {
-        process_done_ = true;
-        co_await start_barrier_.Arrive();
-        break;
-      }
-      iteration_op_ = logger_.StartOperation(
-          process_op_, "Engine", "Engine-0", "Iteration",
-          StrFormat("Iteration-%llu",
-                    static_cast<unsigned long long>(iteration_)));
-      co_await start_barrier_.Arrive();
-      co_await end_barrier_.Arrive();
-      logger_.EndOperation(iteration_op_);
-
-      ++iteration_;
-      const uint64_t n = graph_.num_vertices();
-      const uint64_t fill_grain = ChunkedGrain(n);
-      ParallelFor(0, n, fill_grain, [&](uint64_t, uint64_t b, uint64_t e) {
-        std::fill(acc_.begin() + b, acc_.begin() + e, 0.0);
-        std::fill(acc_has_.begin() + b, acc_has_.begin() + e, 0);
-      });
-      if (program_.always_active()) {
-        bool more = max_iters == 0 || iteration_ < max_iters;
-        ParallelFor(0, n, fill_grain, [&](uint64_t, uint64_t b, uint64_t e) {
-          std::fill(active_.begin() + b, active_.begin() + e, more ? 1 : 0);
-        });
-        active_count_ = more ? n : 0;
-      } else {
-        active_.swap(next_active_);
-        active_count_ = next_active_count_;
-      }
-      ParallelFor(0, n, fill_grain, [&](uint64_t, uint64_t b, uint64_t e) {
-        std::fill(next_active_.begin() + b, next_active_.begin() + e, 0);
-      });
-      next_active_count_ = 0;
-    }
-    co_await sim::JoinAll(std::move(loops));
-    logger_.AddInfo(process_op_, "Iterations", Json(iteration_));
-    logger_.EndOperation(process_op_);
-  }
-
-  sim::Task<> RankProcessLoop(uint32_t rank) {
-    while (true) {
-      co_await start_barrier_.Arrive();
-      if (process_done_) co_return;
-      co_await RankIteration(rank);
-    }
-  }
-
-  sim::Task<> RankIteration(uint32_t rank) {
+  sim::Task<> WorkerIteration(uint32_t rank) override {
     const auto& owned = partition_.partitions[rank].vertices;
 
     // --- SpMV: y_rows(owned) = A_slice (Sum,Gather)-product x(active).
     // The slice streams in full regardless of how sparse x is.
     OpId spmv_op = logger_.StartOperation(
-        iteration_op_, "Rank", RankActor(rank), "Spmv",
+        iteration_op_, "Rank", WorkerActor(rank), "Spmv",
         StrFormat("Spmv-%llu",
                   static_cast<unsigned long long>(iteration_)));
     // Host-parallel pull-style SpMV: each chunk folds into its own rows'
@@ -384,14 +130,8 @@ class GraphMatJob {
                       for (VertexId u : adjacency_.neighbors(v)) {
                         if (active_[u] == 0) continue;
                         ++mine.nonzeros;
-                        double contribution = program_.Gather(
-                            v, u, values_[u], adjacency_.degree(u));
-                        if (acc_has_[v] != 0) {
-                          acc_[v] = program_.Sum(acc_[v], contribution);
-                        } else {
-                          acc_[v] = contribution;
-                          acc_has_[v] = 1;
-                        }
+                        Accumulate(v, program_.Gather(v, u, values_[u],
+                                                      adjacency_.degree(u)));
                       }
                     }
                   });
@@ -402,7 +142,7 @@ class GraphMatJob {
       }
     }
     co_await RunOnThreads(
-        &sim_, &RankCpu(rank),
+        &sim_, &WorkerCpu(rank),
         cost_.spmv_per_edge * static_cast<double>(streamed_edges) +
             cost_.spmv_per_active_edge *
                 static_cast<double>(active_nonzeros),
@@ -421,7 +161,7 @@ class GraphMatJob {
 
     // --- Apply.
     OpId apply_op = logger_.StartOperation(
-        iteration_op_, "Rank", RankActor(rank), "Apply",
+        iteration_op_, "Rank", WorkerActor(rank), "Apply",
         StrFormat("Apply-%llu",
                   static_cast<unsigned long long>(iteration_)));
     uint64_t applies = 0;
@@ -457,48 +197,37 @@ class GraphMatJob {
       }
     }
     co_await RunOnThreads(
-        &sim_, &RankCpu(rank),
+        &sim_, &WorkerCpu(rank),
         cost_.apply_per_vertex * static_cast<double>(applies),
         job_config_.compute_threads);
     co_await sim_.Delay(cost_.iteration_overhead);
     logger_.AddInfo(apply_op, "Applies", Json(applies));
     logger_.EndOperation(apply_op);
-
-    co_await end_barrier_.Arrive();
   }
 
-  sim::Task<> RunOffloadGraph(OpId root) {
-    OpId offload = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kOffloadGraph, core::ops::kOffloadGraph);
-    std::vector<sim::ProcessHandle> writers;
-    for (uint32_t rank = 0; rank < job_config_.num_workers; ++rank) {
-      writers.push_back(sim_.Spawn(
-          [](GraphMatJob* job, OpId parent, uint32_t r) -> sim::Task<> {
-            OpId op = job->logger_.StartOperation(
-                parent, "Rank", job->RankActor(r), "WriteResults",
-                StrFormat("WriteResults-%u", r));
-            uint64_t bytes =
-                job->cost_.result_bytes_per_vertex *
-                job->partition_.partitions[r].vertices.size();
-            co_await RunOnThreads(
-                &job->sim_, &job->RankCpu(r),
-                job->cost_.serialize_cpu_per_byte *
-                    static_cast<double>(bytes),
-                job->job_config_.compute_threads);
-            co_await job->sharedfs_.Write(
-                r, StrFormat("/data/gm-out-%u", r), bytes);
-            job->logger_.EndOperation(op);
-          }(this, offload, rank)));
-    }
-    co_await sim::JoinAll(std::move(writers));
+  sim::Task<> RunOffloadGraph(OpId root) override {
+    OpId offload = StartJobOperation(root, core::ops::kOffloadGraph);
+    co_await ForEachWorker(
+        [this, offload](uint32_t rank) { return RankOffload(offload, rank); });
     logger_.EndOperation(offload);
   }
 
-  sim::Task<> RunCleanup(OpId root) {
-    OpId cleanup = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id, core::ops::kCleanup,
-        core::ops::kCleanup);
+  sim::Task<> RankOffload(OpId parent, uint32_t rank) {
+    OpId op = logger_.StartOperation(parent, "Rank", WorkerActor(rank),
+                                     "WriteResults",
+                                     StrFormat("WriteResults-%u", rank));
+    uint64_t bytes = cost_.result_bytes_per_vertex *
+                     partition_.partitions[rank].vertices.size();
+    co_await RunOnThreads(
+        &sim_, &WorkerCpu(rank),
+        cost_.serialize_cpu_per_byte * static_cast<double>(bytes),
+        job_config_.compute_threads);
+    co_await sharedfs_.Write(rank, StrFormat("/data/gm-out-%u", rank), bytes);
+    logger_.EndOperation(op);
+  }
+
+  sim::Task<> RunCleanup(OpId root) override {
+    OpId cleanup = StartJobOperation(root, core::ops::kCleanup);
     OpId op = logger_.StartOperation(cleanup, "Mpi", "mpirun", "Finalize",
                                      "Finalize");
     co_await mpi_.Finalize();
@@ -507,47 +236,12 @@ class GraphMatJob {
   }
 
   const GraphMatCostModel& cost_;
-  const graph::Graph& graph_;
-  const algo::GasProgram& program_;
-  JobConfig job_config_;
-
-  sim::Simulator sim_;
-  cluster::Cluster cluster_;
   cluster::SharedFs sharedfs_;
   cluster::MpiLauncher mpi_;
-  cluster::EnvironmentMonitor monitor_;
-  JobLogger logger_;
 
-  sim::Barrier start_barrier_;
-  sim::Barrier end_barrier_;
-  sim::Barrier stage_barrier_;
-
+  // Inputs: the row partitioning and the matrix (undirected CSR).
   graph::EdgeCutResult partition_;
   graph::Csr adjacency_;
-  std::vector<double> values_;
-  std::vector<uint8_t> active_, next_active_;
-  std::vector<double> acc_;
-  std::vector<uint8_t> acc_has_;
-  // Frontier bookkeeping (replaces the O(V) AnyActive scan).
-  uint64_t active_count_ = 0;
-  uint64_t next_active_count_ = 0;
-
-  uint64_t input_bytes_ = 0;
-  uint64_t iteration_ = 0;
-  bool process_done_ = false;
-  OpId process_op_ = core::kNoOp;
-  OpId iteration_op_ = core::kNoOp;
-
-  // Fault injection (inert when the plan is empty).
-  sim::FaultInjector injector_;
-  bool crash_pending_ = false;
-  uint64_t crash_at_iteration_ = 0;
-  uint32_t crash_worker_ = 0;
-  SimTime crash_work_;
-  bool job_failed_ = false;
-  uint64_t failed_attempts_ = 0;
-  uint64_t restarts_ = 0;
-  SimTime lost_time_;
 };
 
 }  // namespace
@@ -556,11 +250,8 @@ Result<JobResult> GraphMatPlatform::Run(
     const graph::Graph& graph, const algo::AlgorithmSpec& spec,
     const cluster::ClusterConfig& cluster_config,
     const JobConfig& job_config) const {
-  GRANULA_ASSIGN_OR_RETURN(auto program, algo::MakeGasProgram(spec));
-  GraphMatJob job(cost_, graph, *program, cluster_config, job_config);
-  JobResult result;
-  GRANULA_RETURN_IF_ERROR(job.Execute(&result));
-  return result;
+  return RunEngineJob<GraphMatJob>(cost_, graph, spec, cluster_config,
+                                  job_config);
 }
 
 }  // namespace granula::platform

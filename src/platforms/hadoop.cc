@@ -1,95 +1,59 @@
 #include "platforms/hadoop.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "algorithms/pregel.h"
-#include "cluster/monitor.h"
 #include "cluster/provisioning.h"
 #include "cluster/storage.h"
 #include "common/strings.h"
-#include "granula/models/models.h"
 #include "graph/partition.h"
+#include "platforms/engine_job.h"
 #include "platforms/message_store.h"
-#include "sim/simulator.h"
 
 namespace granula::platform {
 
 namespace {
 
-using core::JobLogger;
 using core::OpId;
 using graph::VertexId;
 
-class HadoopJob {
+class HadoopJob : public EngineJob {
  public:
+  using Program = algo::PregelProgram;
+
   HadoopJob(const HadoopCostModel& cost, const graph::Graph& graph,
             const algo::PregelProgram& program,
             const cluster::ClusterConfig& cluster_config,
             const JobConfig& job_config)
-      : cost_(cost),
-        graph_(graph),
+      : EngineJob(graph, cluster_config, job_config),
+        cost_(cost),
         program_(program),
-        job_config_(job_config),
-        cluster_(&sim_, cluster_config),
         hdfs_(&cluster_, HdfsOptions(cluster_config)),
         yarn_(&cluster_, cluster::YarnManager::Options{}),
-        monitor_(&cluster_, job_config.monitor_interval),
-        logger_([this] { return sim_.Now(); }),
-        messages_(graph.num_vertices(), program.combiner()),
-        injector_(job_config_.faults) {}
+        messages_(graph.num_vertices(), program.combiner()) {}
 
-  Status Execute(JobResult* out) {
-    const uint32_t workers = job_config_.num_workers;
-    if (workers == 0 || workers > cluster_.num_nodes()) {
-      return Status::InvalidArgument("num_workers must be in [1, num_nodes]");
-    }
-    InstallLogWriteFaults(&logger_, job_config_.faults);
-    if (!job_config_.live_log_path.empty()) {
-      GRANULA_RETURN_IF_ERROR(logger_.StreamTo(
-          job_config_.live_log_path, job_config_.live_log_delay_us));
-    }
+ private:
+  const char* JobName() const override { return "HadoopJob"; }
 
-    input_bytes_ = graph::EdgeListFileBytes(graph_);
+  Status Setup() override {
     GRANULA_RETURN_IF_ERROR(hdfs_.CreateFile("/input/graph.e", input_bytes_));
     // The iterated state file holds every vertex's value, its adjacency
     // (both directions, as text), and pending messages.
     state_bytes_ = cost_.state_bytes_per_vertex * graph_.num_vertices() +
                    2 * input_bytes_;
 
-    GRANULA_ASSIGN_OR_RETURN(partition_,
-                             graph::PartitionEdgeCut(graph_, workers));
+    GRANULA_ASSIGN_OR_RETURN(
+        partition_, graph::PartitionEdgeCut(graph_, job_config_.num_workers));
     values_.resize(graph_.num_vertices());
     active_.resize(graph_.num_vertices());
     for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
       values_[v] = program_.InitialValue(v, graph_.num_vertices());
       active_[v] = program_.InitiallyActive(v) ? 1 : 0;
     }
-    neighbors_.resize(graph_.num_vertices());
-    for (const graph::Edge& e : graph_.edges()) {
-      neighbors_[e.src].push_back(e.dst);
-      neighbors_[e.dst].push_back(e.src);
-    }
-    for (auto& list : neighbors_) std::sort(list.begin(), list.end());
-
-    sim_.Spawn(Main());
-    sim_.Run();
-    logger_.StopStreaming();
-
-    out->vertex_values = values_;
-    out->records = logger_.TakeRecords();
-    out->environment = ToEnvironmentRecords(monitor_.samples());
-    out->supersteps = iteration_;
-    out->total_seconds = sim_.Now().seconds();
-    out->network_bytes = cluster_.network_bytes_sent();
-    out->completed = !job_failed_;
-    out->failed_attempts = failed_attempts_;
-    out->restarts = restarts_;
-    out->lost_seconds = lost_time_.seconds();
+    adjacency_ = graph::Csr::BuildUndirected(graph_.num_vertices(),
+                                             graph_.edges());
     return Status::OK();
   }
 
- private:
   static cluster::Hdfs::Options HdfsOptions(
       const cluster::ClusterConfig& cluster_config) {
     cluster::Hdfs::Options options;
@@ -104,36 +68,11 @@ class HadoopJob {
     return cluster_.node(TaskNode(task)).cpu();
   }
 
-  sim::Task<> Main() {
-    monitor_.Start();
-    OpId root = logger_.StartOperation(core::kNoOp, core::ops::kJobActor,
-                                       job_config_.job_id,
-                                       core::ops::kJobMission, "HadoopJob");
-    co_await RunStartup(root);
-    co_await RunLoadGraph(root);
-    co_await RunProcessGraph(root);
-    if (job_failed_) {
-      // Task re-attempts exhausted: the MR pipeline dies mid-job and the
-      // open operations (map phase, MrJob, ProcessGraph, root) stay open
-      // — the archive is marked kIncomplete.
-      monitor_.Stop();
-      co_return;
-    }
-    if (job_config_.offload_results) co_await RunOffloadGraph(root);
-    co_await RunCleanup(root);
-    logger_.AddInfo(root, "NetworkBytes",
-                    Json(cluster_.network_bytes_sent()));
-    logger_.EndOperation(root);
-    monitor_.Stop();
-  }
-
   // Startup: only the client and HDFS checks — each MR job pays its own
   // provisioning later (the structural difference from Giraph, which
   // allocates workers once).
-  sim::Task<> RunStartup(OpId root) {
-    OpId startup = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id, core::ops::kStartup,
-        core::ops::kStartup);
+  sim::Task<> RunStartup(OpId root) override {
+    OpId startup = StartJobOperation(root, core::ops::kStartup);
     OpId op = logger_.StartOperation(startup, "Client", "Client-0",
                                      "JobStartup", "JobStartup");
     co_await sim_.Delay(SimTime::Millis(900));  // client + staging dir
@@ -143,10 +82,8 @@ class HadoopJob {
 
   // LoadGraph: one conversion pass materializes the iterated state file
   // from the edge list.
-  sim::Task<> RunLoadGraph(OpId root) {
-    OpId load = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kLoadGraph, core::ops::kLoadGraph);
+  sim::Task<> RunLoadGraph(OpId root) override {
+    OpId load = StartJobOperation(root, core::ops::kLoadGraph);
     OpId op = logger_.StartOperation(load, "Job", job_config_.job_id,
                                      "MaterializeState", "MaterializeState");
     co_await RunMrJob(op, /*is_materialize=*/true);
@@ -162,10 +99,8 @@ class HadoopJob {
     return false;
   }
 
-  sim::Task<> RunProcessGraph(OpId root) {
-    OpId process = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kProcessGraph, core::ops::kProcessGraph);
+  sim::Task<> RunProcessGraph(OpId root) override {
+    OpId process = StartJobOperation(root, core::ops::kProcessGraph);
     while (true) {
       uint64_t max_steps = program_.max_supersteps();
       if (!AnyComputeCandidate() ||
@@ -211,33 +146,25 @@ class HadoopJob {
     // slot: recovery cannot change the answer.
     const uint64_t shard_base =
         is_materialize ? 0 : messages_.AddShards(job_config_.num_workers);
-    std::vector<sim::ProcessHandle> maps;
-    for (uint32_t task = 0; task < job_config_.num_workers; ++task) {
-      maps.push_back(sim_.Spawn(
-          MapTask(map_phase, task, is_materialize, shard_base + task)));
-    }
-    co_await sim::JoinAll(std::move(maps));
+    co_await ForEachWorker([=, this](uint32_t task) {
+      return MapTask(map_phase, task, is_materialize, shard_base + task);
+    });
     if (job_failed_) co_return;  // leave the map phase open
     logger_.EndOperation(map_phase);
 
     // Shuffle: map outputs cross the network to their reducers.
     OpId shuffle = logger_.StartOperation(job_op, "Job", job_config_.job_id,
                                           "ShufflePhase", "ShufflePhase");
-    std::vector<sim::ProcessHandle> shuffles;
-    for (uint32_t task = 0; task < job_config_.num_workers; ++task) {
-      shuffles.push_back(sim_.Spawn(ShuffleTask(shuffle, task)));
-    }
-    co_await sim::JoinAll(std::move(shuffles));
+    co_await ForEachWorker(
+        [this, shuffle](uint32_t task) { return ShuffleTask(shuffle, task); });
     logger_.EndOperation(shuffle);
 
     // Reduce phase: merge, apply, and write the next state file.
     OpId reduce_phase = logger_.StartOperation(
         job_op, "Job", job_config_.job_id, "ReducePhase", "ReducePhase");
-    std::vector<sim::ProcessHandle> reduces;
-    for (uint32_t task = 0; task < job_config_.num_workers; ++task) {
-      reduces.push_back(sim_.Spawn(ReduceTask(reduce_phase, task)));
-    }
-    co_await sim::JoinAll(std::move(reduces));
+    co_await ForEachWorker([this, reduce_phase](uint32_t task) {
+      return ReduceTask(reduce_phase, task);
+    });
     logger_.EndOperation(reduce_phase);
 
     OpId commit = logger_.StartOperation(job_op, "Master", "Master-0",
@@ -370,10 +297,8 @@ class HadoopJob {
     logger_.EndOperation(op);
   }
 
-  sim::Task<> RunOffloadGraph(OpId root) {
-    OpId offload = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kOffloadGraph, core::ops::kOffloadGraph);
+  sim::Task<> RunOffloadGraph(OpId root) override {
+    OpId offload = StartJobOperation(root, core::ops::kOffloadGraph);
     OpId op = logger_.StartOperation(offload, "Worker", "Worker-1",
                                      "ExtractOutput", "ExtractOutput");
     // Strip values from the last state file (a cheap map-only pass
@@ -385,10 +310,8 @@ class HadoopJob {
     logger_.EndOperation(offload);
   }
 
-  sim::Task<> RunCleanup(OpId root) {
-    OpId cleanup = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id, core::ops::kCleanup,
-        core::ops::kCleanup);
+  sim::Task<> RunCleanup(OpId root) override {
+    OpId cleanup = StartJobOperation(root, core::ops::kCleanup);
     OpId op = logger_.StartOperation(cleanup, "Master", "Master-0",
                                      "JobCleanup", "JobCleanup");
     co_await yarn_.Cleanup();
@@ -417,14 +340,16 @@ class HadoopJob {
     double value() const override { return job_->values_[vertex_]; }
     void set_value(double v) override { job_->values_[vertex_] = v; }
     std::span<const VertexId> neighbors() const override {
-      return job_->neighbors_[vertex_];
+      return job_->adjacency_.neighbors(vertex_);
     }
     void SendTo(VertexId target, double message) override {
       job_->messages_.Deliver(shard_, target, message);
       ++messages_sent_;
     }
     void SendToAllNeighbors(double message) override {
-      for (VertexId nbr : job_->neighbors_[vertex_]) SendTo(nbr, message);
+      for (VertexId nbr : job_->adjacency_.neighbors(vertex_)) {
+        SendTo(nbr, message);
+      }
     }
     void VoteToHalt() override { voted_halt_ = true; }
 
@@ -437,35 +362,19 @@ class HadoopJob {
   };
 
   const HadoopCostModel& cost_;
-  const graph::Graph& graph_;
   const algo::PregelProgram& program_;
-  JobConfig job_config_;
 
-  sim::Simulator sim_;
-  cluster::Cluster cluster_;
   cluster::Hdfs hdfs_;
   cluster::YarnManager yarn_;
-  cluster::EnvironmentMonitor monitor_;
-  JobLogger logger_;
 
   graph::EdgeCutResult partition_;
-  std::vector<std::vector<VertexId>> neighbors_;
-  std::vector<double> values_;
+  graph::Csr adjacency_;
   std::vector<uint8_t> active_;
   MessageStore messages_;
   std::vector<cluster::YarnManager::Container> containers_;
   std::vector<uint64_t> map_output_bytes_;
 
-  uint64_t input_bytes_ = 0;
   uint64_t state_bytes_ = 0;
-  uint64_t iteration_ = 0;
-
-  // Fault injection (inert when the plan is empty).
-  sim::FaultInjector injector_;
-  bool job_failed_ = false;
-  uint64_t failed_attempts_ = 0;
-  uint64_t restarts_ = 0;
-  SimTime lost_time_;
 };
 
 }  // namespace
@@ -474,11 +383,8 @@ Result<JobResult> HadoopPlatform::Run(
     const graph::Graph& graph, const algo::AlgorithmSpec& spec,
     const cluster::ClusterConfig& cluster_config,
     const JobConfig& job_config) const {
-  GRANULA_ASSIGN_OR_RETURN(auto program, algo::MakePregelProgram(spec));
-  HadoopJob job(cost_, graph, *program, cluster_config, job_config);
-  JobResult result;
-  GRANULA_RETURN_IF_ERROR(job.Execute(&result));
-  return result;
+  return RunEngineJob<HadoopJob>(cost_, graph, spec, cluster_config,
+                                job_config);
 }
 
 }  // namespace granula::platform

@@ -1,63 +1,38 @@
 #include "platforms/pgxd.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "algorithms/gas.h"
-#include "cluster/monitor.h"
 #include "cluster/storage.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
-#include "granula/models/models.h"
 #include "graph/partition.h"
+#include "platforms/gas_job.h"
 #include "platforms/sharded_accumulator.h"
-#include "sim/simulator.h"
-#include "sim/sync.h"
 
 namespace granula::platform {
 
 namespace {
 
-using core::JobLogger;
 using core::OpId;
 using graph::VertexId;
 
-class PgxdJob {
+class PgxdJob : public GasJob {
  public:
   PgxdJob(const PgxdCostModel& cost, PgxdDirection direction,
           const graph::Graph& graph, const algo::GasProgram& program,
           const cluster::ClusterConfig& cluster_config,
           const JobConfig& job_config)
-      : cost_(cost),
+      : GasJob(graph, program, cluster_config, job_config, "Node"),
+        cost_(cost),
         direction_(direction),
-        graph_(graph),
-        program_(program),
-        job_config_(job_config),
-        cluster_(&sim_, cluster_config),
         localfs_(&cluster_),
-        monitor_(&cluster_, job_config.monitor_interval),
-        logger_([this] { return sim_.Now(); }),
-        accumulator_(graph.num_vertices()),
-        start_barrier_(&sim_, static_cast<int>(job_config.num_workers) + 1),
-        end_barrier_(&sim_, static_cast<int>(job_config.num_workers) + 1),
-        stage_barrier_(&sim_,
-                       std::max(1, static_cast<int>(job_config.num_workers))),
-        injector_(job_config_.faults) {
-    // A zero worker count is rejected in Execute(); the max(1, ...) only
-    // keeps the never-used barrier constructible until then.
-  }
+        accumulator_(graph.num_vertices()) {}
 
-  Status Execute(JobResult* out) {
+ private:
+  const char* JobName() const override { return "PgxdJob"; }
+
+  Status Setup() override {
     const uint32_t nodes = job_config_.num_workers;
-    if (nodes == 0 || nodes > cluster_.num_nodes()) {
-      return Status::InvalidArgument("num_workers must be in [1, num_nodes]");
-    }
-    InstallLogWriteFaults(&logger_, job_config_.faults);
-    if (!job_config_.live_log_path.empty()) {
-      GRANULA_RETURN_IF_ERROR(logger_.StreamTo(
-          job_config_.live_log_path, job_config_.live_log_delay_us));
-    }
-    input_bytes_ = graph::EdgeListFileBytes(graph_);
     // Every node holds a pre-split local slice of the input.
     for (uint32_t node = 0; node < nodes; ++node) {
       GRANULA_RETURN_IF_ERROR(localfs_.CreateFile(
@@ -66,243 +41,71 @@ class PgxdJob {
     }
     GRANULA_ASSIGN_OR_RETURN(partition_,
                              graph::PartitionEdgeCut(graph_, nodes));
-
     // Undirected adjacency in CSR form, built on the host pool; vertex
     // degree comes from the CSR.
     adjacency_ = graph::Csr::BuildUndirected(graph_.num_vertices(),
                                              graph_.edges());
-    total_degree_ = adjacency_.num_arcs();
-    InitAlgorithmState();
-
-    sim_.Spawn(Main());
-    sim_.Run();
-    logger_.StopStreaming();
-
-    out->vertex_values = values_;
-    out->records = logger_.TakeRecords();
-    out->environment = ToEnvironmentRecords(monitor_.samples());
-    out->supersteps = iteration_;
-    out->total_seconds = sim_.Now().seconds();
-    out->network_bytes = cluster_.network_bytes_sent();
-    out->completed = !job_failed_;
-    out->failed_attempts = failed_attempts_;
-    out->restarts = restarts_;
-    out->lost_seconds = lost_time_.seconds();
     return Status::OK();
   }
 
- private:
-  sim::Cpu& NodeCpu(uint32_t node) { return cluster_.node(node).cpu(); }
-  std::string NodeActor(uint32_t node) const {
-    return StrFormat("Node-%u", node);
-  }
-
-  sim::Task<> Main() {
-    monitor_.Start();
-    OpId root = logger_.StartOperation(
-        core::kNoOp, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kJobMission, "PgxdJob");
-    // PGX.D aborts and resubmits on failure: each doomed attempt replays
-    // the real startup/load/process phases inside a FailedAttempt
-    // operation up to the crash point.
-    const sim::RetryPolicy& policy = injector_.policy();
-    uint32_t attempt = 0;
-    while (injector_.enabled()) {
-      const sim::FaultSpec* fault = injector_.JobFault(attempt);
-      if (fault == nullptr) break;
-      co_await RunFailedAttempt(root, *fault, attempt);
-      ++attempt;
-      if (job_failed_ || attempt >= policy.max_attempts) {
-        job_failed_ = true;
-        monitor_.Stop();
-        co_return;  // root never closes: the archive is kIncomplete
-      }
-      co_await RunRestart(root, attempt);
-      ResetAlgorithmState();
-    }
-    co_await RunStartup(root);
-    co_await RunLoadGraph(root);
-    if (!job_failed_) co_await RunProcessGraph(root);
-    if (job_failed_) {
-      monitor_.Stop();
-      co_return;
-    }
-    if (job_config_.offload_results) co_await RunOffloadGraph(root);
-    co_await RunCleanup(root);
-    if (attempt > 0) {
-      logger_.AddInfo(root, "Attempts",
-                      Json(static_cast<int64_t>(attempt) + 1));
-    }
-    logger_.AddInfo(root, "NetworkBytes",
-                    Json(cluster_.network_bytes_sent()));
-    logger_.EndOperation(root);
-    monitor_.Stop();
-  }
-
-  sim::Task<> RunFailedAttempt(OpId root, const sim::FaultSpec& fault,
-                               uint32_t attempt) {
-    SimTime began = sim_.Now();
-    OpId op = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kFailedAttempt,
-        StrFormat("FailedAttempt-%u", attempt + 1));
-    crash_pending_ = true;
-    crash_at_iteration_ =
-        fault.kind == sim::FaultKind::kWorkerCrash ? fault.step : 0;
-    crash_worker_ = std::min(fault.worker, job_config_.num_workers - 1);
-    crash_work_ = fault.work_before_crash;
-    co_await RunStartup(op);
-    co_await RunLoadGraph(op);
-    if (!job_failed_) co_await RunProcessGraph(op);
-    crash_pending_ = false;
-    if (job_failed_) co_return;  // storage retries exhausted during load
-    SimTime lost = sim_.Now() - began;
-    logger_.AddInfo(op, "Attempt", Json(static_cast<int64_t>(attempt) + 1));
-    logger_.AddInfo(op, "CrashedWorker", Json(NodeActor(crash_worker_)));
-    logger_.AddInfo(op, "CrashIteration", Json(crash_at_iteration_));
-    logger_.AddInfo(op, "LostTime",
-                    Json(static_cast<uint64_t>(lost.nanos())));
-    logger_.EndOperation(op);
-    ++failed_attempts_;
-    lost_time_ += lost;
-  }
-
-  sim::Task<> RunRestart(OpId root, uint32_t attempt) {
-    SimTime began = sim_.Now();
-    OpId op = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id, core::ops::kRestart,
-        StrFormat("Restart-%u", attempt));
-    co_await sim_.Delay(injector_.Backoff(attempt - 1));
-    co_await sim_.Delay(injector_.policy().resubmit_delay);
-    SimTime lost = sim_.Now() - began;
-    logger_.AddInfo(op, "Attempt", Json(static_cast<int64_t>(attempt) + 1));
-    logger_.AddInfo(op, "LostTime",
-                    Json(static_cast<uint64_t>(lost.nanos())));
-    logger_.EndOperation(op);
-    ++restarts_;
-    lost_time_ += lost;
-  }
-
-  // Attempt-scoped algorithm state. The CSR adjacency, partition, and
-  // total degree are inputs, not state: they survive restarts.
-  void InitAlgorithmState() {
-    const uint64_t n = graph_.num_vertices();
-    values_.resize(n);
-    active_.assign(n, 0);
-    next_active_.assign(n, 0);
-    acc_.assign(n, 0.0);
-    acc_has_.assign(n, 0);
-    active_count_ = 0;
-    frontier_edges_ = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      values_[v] = program_.InitialValue(v, n);
-      bool is_active = program_.InitiallyActive(v);
-      active_[v] = is_active ? 1 : 0;
-      if (is_active) {
-        ++active_count_;
-        frontier_edges_ += adjacency_.degree(v);
-      }
-    }
-    next_active_count_ = 0;
-    next_frontier_edges_ = 0;
-    iteration_ = 0;
-    process_done_ = false;
-    push_mode_ = true;
-  }
-  void ResetAlgorithmState() { InitAlgorithmState(); }
-
-  sim::Task<> RunStartup(OpId root) {
-    OpId startup = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id, core::ops::kStartup,
-        core::ops::kStartup);
+  sim::Task<> RunStartup(OpId root) override {
+    OpId startup = StartJobOperation(root, core::ops::kStartup);
     OpId spawn = logger_.StartOperation(startup, "Native", "launcher",
                                         "SpawnProcesses", "SpawnProcesses");
-    spawn_op_ = spawn;
-    std::vector<sim::ProcessHandle> spawns;
-    for (uint32_t node = 0; node < job_config_.num_workers; ++node) {
-      spawns.push_back(sim_.Spawn(
-          [](PgxdJob* job, uint32_t n) -> sim::Task<> {
-            OpId op = job->logger_.StartOperation(
-                job->spawn_op_, "Process", job->NodeActor(n),
-                "LocalStartup", StrFormat("LocalStartup-%u", n));
-            co_await job->sim_.Delay(job->cost_.process_spawn);
-            co_await job->NodeCpu(n).Run(job->cost_.process_spawn * 0.3);
-            job->logger_.EndOperation(op);
-          }(this, node)));
-    }
-    co_await sim::JoinAll(std::move(spawns));
+    co_await ForEachWorker(
+        [this, spawn](uint32_t node) { return NodeStartup(spawn, node); });
     logger_.EndOperation(spawn);
     logger_.EndOperation(startup);
   }
 
-  sim::Task<> RunLoadGraph(OpId root) {
-    OpId load = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kLoadGraph, core::ops::kLoadGraph);
-    std::vector<sim::ProcessHandle> loaders;
-    for (uint32_t node = 0; node < job_config_.num_workers; ++node) {
-      loaders.push_back(sim_.Spawn(NodeLoad(load, node)));
-    }
-    co_await sim::JoinAll(std::move(loaders));
+  sim::Task<> NodeStartup(OpId parent, uint32_t node) {
+    OpId op = logger_.StartOperation(parent, "Process", WorkerActor(node),
+                                     "LocalStartup",
+                                     StrFormat("LocalStartup-%u", node));
+    co_await sim_.Delay(cost_.process_spawn);
+    co_await WorkerCpu(node).Run(cost_.process_spawn * 0.3);
+    logger_.EndOperation(op);
+  }
+
+  sim::Task<> RunLoadGraph(OpId root) override {
+    OpId load = StartJobOperation(root, core::ops::kLoadGraph);
+    co_await ForEachWorker(
+        [this, load](uint32_t node) { return NodeLoad(load, node); });
     logger_.EndOperation(load);
   }
 
   sim::Task<> NodeLoad(OpId parent, uint32_t node) {
     OpId op = logger_.StartOperation(
-        parent, "Node", NodeActor(node), "LoadLocalData",
+        parent, "Node", WorkerActor(node), "LoadLocalData",
         StrFormat("LoadLocalData-%u", node));
-    if (injector_.enabled()) {
-      // Transient storage errors: the node retries its local read in
-      // place; each dead read is a FailedAttempt child of LoadLocalData.
-      uint32_t retry = 0;
-      while (const sim::FaultSpec* fault =
-                 injector_.StorageFault(node, retry)) {
-        SimTime began = sim_.Now();
-        OpId failed = logger_.StartOperation(
-            op, "Node", NodeActor(node), core::ops::kFailedAttempt,
-            StrFormat("FailedAttempt-load-%u-%u", node, retry + 1));
-        co_await sim_.Delay(fault->work_before_crash);
-        co_await sim_.Delay(injector_.Backoff(retry));
-        SimTime lost = sim_.Now() - began;
-        logger_.AddInfo(failed, "Attempt",
-                        Json(static_cast<int64_t>(retry) + 1));
-        logger_.AddInfo(failed, "LostTime",
-                        Json(static_cast<uint64_t>(lost.nanos())));
-        logger_.EndOperation(failed);
-        ++failed_attempts_;
-        lost_time_ += lost;
-        ++retry;
-        if (retry >= injector_.policy().max_attempts) {
-          job_failed_ = true;
-          logger_.EndOperation(op);
-          co_return;
-        }
-      }
+    // Transient storage errors: the node retries its local read in place;
+    // each dead read is a FailedAttempt child of LoadLocalData.
+    if (!co_await RetryLoad(op, "Node", WorkerActor(node),
+                            StrFormat("FailedAttempt-load-%u-", node),
+                            [this, node](uint32_t retry) {
+                              return injector_.StorageFault(node, retry);
+                            })) {
+      logger_.EndOperation(op);
+      co_return;
     }
     co_await localfs_.Read(node, StrFormat("/local/graph-%u.e", node));
     uint64_t my_bytes = input_bytes_ / job_config_.num_workers;
     co_await RunOnThreads(
-        &sim_, &NodeCpu(node),
+        &sim_, &WorkerCpu(node),
         cost_.parse_cpu_per_byte * static_cast<double>(my_bytes),
         job_config_.compute_threads * 2);
-    OpId csr = logger_.StartOperation(op, "Node", NodeActor(node),
+    OpId csr = logger_.StartOperation(op, "Node", WorkerActor(node),
                                       "BuildCsr",
                                       StrFormat("BuildCsr-%u", node));
     uint64_t local_edges = partition_.partitions[node].edges.size();
     co_await RunOnThreads(
-        &sim_, &NodeCpu(node),
+        &sim_, &WorkerCpu(node),
         cost_.csr_build_per_edge * static_cast<double>(local_edges),
         job_config_.compute_threads);
     logger_.EndOperation(csr);
     logger_.AddInfo(op, "BytesRead", Json(my_bytes));
     logger_.EndOperation(op);
   }
-
-  // O(1): both the active-set size and the frontier's incident-edge count
-  // (the direction heuristic's input) are maintained incrementally at
-  // Apply time instead of scanning all vertices each iteration.
-  bool AnyActive() const { return active_count_ > 0; }
-  uint64_t FrontierEdges() const { return frontier_edges_; }
 
   bool ChoosePush(uint64_t frontier_edges) const {
     switch (direction_) {
@@ -322,94 +125,32 @@ class PgxdJob {
     return push_cost <= pull_cost;
   }
 
-  sim::Task<> RunProcessGraph(OpId root) {
-    process_op_ = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kProcessGraph, core::ops::kProcessGraph);
-    std::vector<sim::ProcessHandle> loops;
-    for (uint32_t node = 0; node < job_config_.num_workers; ++node) {
-      loops.push_back(sim_.Spawn(NodeProcessLoop(node)));
+  // The direction heuristic's input — the frontier's incident-edge count —
+  // is maintained at Apply time instead of scanning all vertices each
+  // iteration; the first iteration's frontier is the initial active set.
+  void OnIterationStart() override {
+    if (iteration_ == 0) {
+      frontier_edges_ = 0;
+      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
+        if (active_[v] != 0) frontier_edges_ += adjacency_.degree(v);
+      }
     }
-    while (true) {
-      uint64_t max_iters = program_.max_iterations();
-      bool capped = max_iters > 0 && iteration_ >= max_iters;
-      bool done = !AnyActive() || capped;
-      if (crash_pending_ && (done || iteration_ >= crash_at_iteration_)) {
-        // The victim dies partway into the iteration; the engine notices
-        // after the liveness timeout and aborts the whole job.
-        co_await sim_.Delay(crash_work_ + injector_.policy().detect_timeout);
-        process_done_ = true;
-        co_await start_barrier_.Arrive();
-        break;
-      }
-      if (done) {
-        process_done_ = true;
-        co_await start_barrier_.Arrive();
-        break;
-      }
-      uint64_t frontier_edges = FrontierEdges();
-      push_mode_ = ChoosePush(frontier_edges);
-      iteration_op_ = logger_.StartOperation(
-          process_op_, "Engine", "Engine-0", "Iteration",
-          StrFormat("Iteration-%llu",
-                    static_cast<unsigned long long>(iteration_)));
-      logger_.AddInfo(iteration_op_, "Direction",
-                      Json(push_mode_ ? "push" : "pull"));
-      logger_.AddInfo(iteration_op_, "FrontierEdges", Json(frontier_edges));
-      co_await start_barrier_.Arrive();
-      co_await end_barrier_.Arrive();
-      logger_.EndOperation(iteration_op_);
-
-      ++iteration_;
-      const uint64_t n = graph_.num_vertices();
-      const uint64_t fill_grain = ChunkedGrain(n);
-      ParallelFor(0, n, fill_grain, [&](uint64_t, uint64_t b, uint64_t e) {
-        std::fill(acc_.begin() + b, acc_.begin() + e, 0.0);
-        std::fill(acc_has_.begin() + b, acc_has_.begin() + e, 0);
-      });
-      if (program_.always_active()) {
-        bool more = max_iters == 0 || iteration_ < max_iters;
-        ParallelFor(0, n, fill_grain, [&](uint64_t, uint64_t b, uint64_t e) {
-          std::fill(active_.begin() + b, active_.begin() + e, more ? 1 : 0);
-        });
-        active_count_ = more ? n : 0;
-        frontier_edges_ = more ? total_degree_ : 0;
-      } else {
-        active_.swap(next_active_);
-        active_count_ = next_active_count_;
-        frontier_edges_ = next_frontier_edges_;
-      }
-      ParallelFor(0, n, fill_grain, [&](uint64_t, uint64_t b, uint64_t e) {
-        std::fill(next_active_.begin() + b, next_active_.begin() + e, 0);
-      });
-      next_active_count_ = 0;
-      next_frontier_edges_ = 0;
-    }
-    co_await sim::JoinAll(std::move(loops));
-    logger_.AddInfo(process_op_, "Iterations", Json(iteration_));
-    logger_.EndOperation(process_op_);
+    push_mode_ = ChoosePush(frontier_edges_);
+    logger_.AddInfo(iteration_op_, "Direction",
+                    Json(push_mode_ ? "push" : "pull"));
+    logger_.AddInfo(iteration_op_, "FrontierEdges", Json(frontier_edges_));
   }
 
-  sim::Task<> NodeProcessLoop(uint32_t node) {
-    while (true) {
-      co_await start_barrier_.Arrive();
-      if (process_done_) co_return;
-      co_await NodeIteration(node);
-    }
-  }
-
-  void Contribute(VertexId target, VertexId source) {
-    double contribution = program_.Gather(target, source, values_[source],
-                                          adjacency_.degree(source));
-    if (acc_has_[target] != 0) {
-      acc_[target] = program_.Sum(acc_[target], contribution);
+  void OnIterationEnd() override {
+    if (program_.always_active()) {
+      frontier_edges_ = active_count_ > 0 ? adjacency_.num_arcs() : 0;
     } else {
-      acc_[target] = contribution;
-      acc_has_[target] = 1;
+      frontier_edges_ = next_frontier_edges_;
     }
+    next_frontier_edges_ = 0;
   }
 
-  sim::Task<> NodeIteration(uint32_t node) {
+  sim::Task<> WorkerIteration(uint32_t node) override {
     const auto& owned = partition_.partitions[node].vertices;
     const uint64_t grain = ChunkedGrain(owned.size());
     const uint64_t chunks = ThreadPool::NumChunks(owned.size(), grain);
@@ -422,7 +163,7 @@ class PgxdJob {
     OpId traverse_op;
     if (push_mode_) {
       traverse_op = logger_.StartOperation(
-          iteration_op_, "Node", NodeActor(node), "Push",
+          iteration_op_, "Node", WorkerActor(node), "Push",
           StrFormat("Push-%llu",
                     static_cast<unsigned long long>(iteration_)));
       // Push writes accumulators of arbitrary targets, so chunks emit into
@@ -461,12 +202,12 @@ class PgxdJob {
         return program_.Sum(a, b);
       });
       co_await RunOnThreads(
-          &sim_, &NodeCpu(node),
+          &sim_, &WorkerCpu(node),
           cost_.push_per_edge * static_cast<double>(edge_ops),
           job_config_.compute_threads);
     } else {
       traverse_op = logger_.StartOperation(
-          iteration_op_, "Node", NodeActor(node), "Pull",
+          iteration_op_, "Node", WorkerActor(node), "Pull",
           StrFormat("Pull-%llu",
                     static_cast<unsigned long long>(iteration_)));
       // Pull accumulates into the scanning vertex itself, so chunks write
@@ -483,7 +224,8 @@ class PgxdJob {
                         for (VertexId u : adjacency_.neighbors(v)) {
                           ++ops;  // the pull scan reads every incident edge
                           if (active_[u] == 0) continue;
-                          Contribute(v, u);
+                          Accumulate(v, program_.Gather(v, u, values_[u],
+                                                        adjacency_.degree(u)));
                           if (partition_.owner[u] != node) ++remote;
                         }
                       }
@@ -496,7 +238,7 @@ class PgxdJob {
         }
       }
       co_await RunOnThreads(
-          &sim_, &NodeCpu(node),
+          &sim_, &WorkerCpu(node),
           cost_.pull_per_edge * static_cast<double>(edge_ops),
           job_config_.compute_threads);
     }
@@ -512,7 +254,7 @@ class PgxdJob {
 
     // --- Apply on owned vertices; activation = value changed.
     OpId apply_op = logger_.StartOperation(
-        iteration_op_, "Node", NodeActor(node), "Apply",
+        iteration_op_, "Node", WorkerActor(node), "Apply",
         StrFormat("Apply-%llu",
                   static_cast<unsigned long long>(iteration_)));
     uint64_t applies = 0;
@@ -553,48 +295,37 @@ class PgxdJob {
       }
     }
     co_await RunOnThreads(
-        &sim_, &NodeCpu(node),
+        &sim_, &WorkerCpu(node),
         cost_.apply_per_vertex * static_cast<double>(applies),
         job_config_.compute_threads);
     co_await sim_.Delay(cost_.iteration_overhead);
     logger_.AddInfo(apply_op, "Applies", Json(applies));
     logger_.EndOperation(apply_op);
-
-    co_await end_barrier_.Arrive();
   }
 
-  sim::Task<> RunOffloadGraph(OpId root) {
-    OpId offload = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kOffloadGraph, core::ops::kOffloadGraph);
-    std::vector<sim::ProcessHandle> writers;
-    for (uint32_t node = 0; node < job_config_.num_workers; ++node) {
-      writers.push_back(sim_.Spawn(
-          [](PgxdJob* job, OpId parent, uint32_t n) -> sim::Task<> {
-            OpId op = job->logger_.StartOperation(
-                parent, "Node", job->NodeActor(n), "WriteLocal",
-                StrFormat("WriteLocal-%u", n));
-            uint64_t bytes =
-                job->cost_.result_bytes_per_vertex *
-                job->partition_.partitions[n].vertices.size();
-            co_await RunOnThreads(
-                &job->sim_, &job->NodeCpu(n),
-                job->cost_.serialize_cpu_per_byte *
-                    static_cast<double>(bytes),
-                job->job_config_.compute_threads);
-            co_await job->localfs_.Write(
-                n, StrFormat("/local/out-%u", n), bytes);
-            job->logger_.EndOperation(op);
-          }(this, offload, node)));
-    }
-    co_await sim::JoinAll(std::move(writers));
+  sim::Task<> RunOffloadGraph(OpId root) override {
+    OpId offload = StartJobOperation(root, core::ops::kOffloadGraph);
+    co_await ForEachWorker(
+        [this, offload](uint32_t node) { return NodeOffload(offload, node); });
     logger_.EndOperation(offload);
   }
 
-  sim::Task<> RunCleanup(OpId root) {
-    OpId cleanup = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id, core::ops::kCleanup,
-        core::ops::kCleanup);
+  sim::Task<> NodeOffload(OpId parent, uint32_t node) {
+    OpId op = logger_.StartOperation(parent, "Node", WorkerActor(node),
+                                     "WriteLocal",
+                                     StrFormat("WriteLocal-%u", node));
+    uint64_t bytes = cost_.result_bytes_per_vertex *
+                     partition_.partitions[node].vertices.size();
+    co_await RunOnThreads(
+        &sim_, &WorkerCpu(node),
+        cost_.serialize_cpu_per_byte * static_cast<double>(bytes),
+        job_config_.compute_threads);
+    co_await localfs_.Write(node, StrFormat("/local/out-%u", node), bytes);
+    logger_.EndOperation(op);
+  }
+
+  sim::Task<> RunCleanup(OpId root) override {
+    OpId cleanup = StartJobOperation(root, core::ops::kCleanup);
     OpId op = logger_.StartOperation(cleanup, "Native", "launcher",
                                      "Teardown", "Teardown");
     co_await sim_.Delay(SimTime::Millis(300));
@@ -604,53 +335,17 @@ class PgxdJob {
 
   const PgxdCostModel& cost_;
   PgxdDirection direction_;
-  const graph::Graph& graph_;
-  const algo::GasProgram& program_;
-  JobConfig job_config_;
-
-  sim::Simulator sim_;
-  cluster::Cluster cluster_;
   cluster::LocalFs localfs_;
-  cluster::EnvironmentMonitor monitor_;
-  JobLogger logger_;
   ShardedAccumulator accumulator_;
 
-  sim::Barrier start_barrier_;
-  sim::Barrier end_barrier_;
-  sim::Barrier stage_barrier_;
-
+  // Inputs: the edge-cut partitioning and the undirected CSR.
   graph::EdgeCutResult partition_;
   graph::Csr adjacency_;
-  std::vector<double> values_;
-  std::vector<uint8_t> active_, next_active_;
-  std::vector<double> acc_;
-  std::vector<uint8_t> acc_has_;
-  // Frontier bookkeeping (replaces the O(V) AnyActive/FrontierEdges
-  // scans).
-  uint64_t active_count_ = 0;
-  uint64_t next_active_count_ = 0;
+  // The current and next frontiers' incident-edge counts, and the
+  // direction chosen for the current iteration.
   uint64_t frontier_edges_ = 0;
   uint64_t next_frontier_edges_ = 0;
-  uint64_t total_degree_ = 0;
-
-  uint64_t input_bytes_ = 0;
-  uint64_t iteration_ = 0;
-  bool process_done_ = false;
   bool push_mode_ = true;
-  OpId process_op_ = core::kNoOp;
-  OpId iteration_op_ = core::kNoOp;
-  OpId spawn_op_ = core::kNoOp;
-
-  // Fault injection (inert when the plan is empty).
-  sim::FaultInjector injector_;
-  bool crash_pending_ = false;
-  uint64_t crash_at_iteration_ = 0;
-  uint32_t crash_worker_ = 0;
-  SimTime crash_work_;
-  bool job_failed_ = false;
-  uint64_t failed_attempts_ = 0;
-  uint64_t restarts_ = 0;
-  SimTime lost_time_;
 };
 
 }  // namespace
@@ -659,12 +354,8 @@ Result<JobResult> PgxdPlatform::Run(
     const graph::Graph& graph, const algo::AlgorithmSpec& spec,
     const cluster::ClusterConfig& cluster_config,
     const JobConfig& job_config) const {
-  GRANULA_ASSIGN_OR_RETURN(auto program, algo::MakeGasProgram(spec));
-  PgxdJob job(cost_, direction_, graph, *program, cluster_config,
-              job_config);
-  JobResult result;
-  GRANULA_RETURN_IF_ERROR(job.Execute(&result));
-  return result;
+  return RunEngineJob<PgxdJob>(cost_, graph, spec, cluster_config, job_config,
+                              direction_);
 }
 
 }  // namespace granula::platform

@@ -1,63 +1,37 @@
 #include "platforms/powergraph.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "algorithms/gas.h"
-#include "cluster/monitor.h"
 #include "cluster/provisioning.h"
 #include "cluster/storage.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
-#include "granula/models/models.h"
 #include "graph/partition.h"
-#include "sim/simulator.h"
-#include "sim/sync.h"
+#include "platforms/gas_job.h"
 
 namespace granula::platform {
 
 namespace {
 
-using core::JobLogger;
 using core::OpId;
 using graph::VertexId;
 
-class PowerGraphJob {
+class PowerGraphJob : public GasJob {
  public:
   PowerGraphJob(const PowerGraphCostModel& cost, const graph::Graph& graph,
                 const algo::GasProgram& program,
                 const cluster::ClusterConfig& cluster_config,
                 const JobConfig& job_config)
-      : cost_(cost),
-        graph_(graph),
-        program_(program),
-        job_config_(job_config),
-        cluster_(&sim_, cluster_config),
+      : GasJob(graph, program, cluster_config, job_config, "Rank"),
+        cost_(cost),
         sharedfs_(&cluster_, /*server_node=*/0),
-        mpi_(&cluster_, cluster::MpiLauncher::Options{}),
-        monitor_(&cluster_, job_config.monitor_interval),
-        logger_([this] { return sim_.Now(); }),
-        start_barrier_(&sim_, static_cast<int>(job_config.num_workers) + 1),
-        end_barrier_(&sim_, static_cast<int>(job_config.num_workers) + 1),
-        stage_barrier_(&sim_,
-                       std::max(1, static_cast<int>(job_config.num_workers))),
-        injector_(job_config_.faults) {
-    // A zero worker count is rejected in Execute(); the max(1, ...) only
-    // keeps the never-used barrier constructible until then.
-  }
+        mpi_(&cluster_, cluster::MpiLauncher::Options{}) {}
 
-  Status Execute(JobResult* out) {
+ private:
+  const char* JobName() const override { return "PowerGraphJob"; }
+
+  Status Setup() override {
     const uint32_t ranks = job_config_.num_workers;
-    if (ranks == 0 || ranks > cluster_.num_nodes()) {
-      return Status::InvalidArgument("num_workers must be in [1, num_nodes]");
-    }
-    InstallLogWriteFaults(&logger_, job_config_.faults);
-    if (!job_config_.live_log_path.empty()) {
-      GRANULA_RETURN_IF_ERROR(logger_.StreamTo(
-          job_config_.live_log_path, job_config_.live_log_delay_us));
-    }
-
-    input_bytes_ = graph::EdgeListFileBytes(graph_);
     GRANULA_RETURN_IF_ERROR(
         sharedfs_.CreateFile("/data/graph.e", input_bytes_));
 
@@ -76,7 +50,7 @@ class PowerGraphJob {
       ++degree_[e.src];
       ++degree_[e.dst];
     }
-    InitAlgorithmState();
+    scatter_flag_.assign(n, 0);
     // Per-rank local adjacency over the rank's edge share, in CSR form
     // (replaces the per-edge scans in Gather/Scatter with pull-style loops
     // over replica vertices). Built on the host pool.
@@ -85,213 +59,66 @@ class PowerGraphJob {
       local_adjacency_[r] = graph::Csr::BuildUndirected(
           n, partition_.partitions[r].edges);
     }
-
-    sim_.Spawn(Main());
-    sim_.Run();
-    logger_.StopStreaming();
-
-    out->vertex_values = values_;
-    out->records = logger_.TakeRecords();
-    out->environment = ToEnvironmentRecords(monitor_.samples());
-    out->supersteps = iteration_;
-    out->total_seconds = sim_.Now().seconds();
-    out->network_bytes = cluster_.network_bytes_sent();
-    out->completed = !job_failed_;
-    out->failed_attempts = failed_attempts_;
-    out->restarts = restarts_;
-    out->lost_seconds = lost_time_.seconds();
     return Status::OK();
   }
 
- private:
-  uint32_t RankNode(uint32_t rank) const { return rank; }
-  sim::Cpu& RankCpu(uint32_t rank) {
-    return cluster_.node(RankNode(rank)).cpu();
-  }
-  std::string RankActor(uint32_t rank) const {
-    return StrFormat("Rank-%u", rank);
-  }
-
-  sim::Task<> Main() {
-    monitor_.Start();
-    OpId root = logger_.StartOperation(
-        core::kNoOp, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kJobMission, "PowerGraphJob");
-    // PowerGraph has no checkpointing: a crashed or failed job is
-    // resubmitted from scratch. Each doomed attempt replays the real
-    // startup/load/process phases inside a FailedAttempt operation up to
-    // the crash point, so the archive prices rework, not a placeholder.
-    const sim::RetryPolicy& policy = injector_.policy();
-    uint32_t attempt = 0;
-    while (injector_.enabled()) {
-      const sim::FaultSpec* fault = injector_.JobFault(attempt);
-      if (fault == nullptr) break;
-      co_await RunFailedAttempt(root, *fault, attempt);
-      ++attempt;
-      if (job_failed_ || attempt >= policy.max_attempts) {
-        job_failed_ = true;
-        monitor_.Stop();
-        co_return;  // root never closes: the archive is kIncomplete
-      }
-      co_await RunRestart(root, attempt);
-      ResetAlgorithmState();
-    }
-    co_await RunStartup(root);
-    co_await RunLoadGraph(root);
-    if (!job_failed_) co_await RunProcessGraph(root);
-    if (job_failed_) {
-      monitor_.Stop();
-      co_return;
-    }
-    if (job_config_.offload_results) co_await RunOffloadGraph(root);
-    co_await RunCleanup(root);
-    if (attempt > 0) {
-      logger_.AddInfo(root, "Attempts",
-                      Json(static_cast<int64_t>(attempt) + 1));
-    }
-    logger_.AddInfo(root, "NetworkBytes",
-                    Json(cluster_.network_bytes_sent()));
-    logger_.EndOperation(root);
-    monitor_.Stop();
-  }
-
-  // A whole job attempt that dies: the real phases run under a
-  // FailedAttempt operation and the engine aborts at the scheduled
-  // iteration (or at natural completion, whichever comes first — the
-  // attempt always fails). kTaskFailure kills iteration 0; kWorkerCrash
-  // its own step.
-  sim::Task<> RunFailedAttempt(OpId root, const sim::FaultSpec& fault,
-                               uint32_t attempt) {
-    SimTime began = sim_.Now();
-    OpId op = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kFailedAttempt,
-        StrFormat("FailedAttempt-%u", attempt + 1));
-    crash_pending_ = true;
-    crash_at_iteration_ =
-        fault.kind == sim::FaultKind::kWorkerCrash ? fault.step : 0;
-    crash_worker_ = std::min(fault.worker, job_config_.num_workers - 1);
-    crash_work_ = fault.work_before_crash;
-    co_await RunStartup(op);
-    co_await RunLoadGraph(op);
-    if (!job_failed_) co_await RunProcessGraph(op);
-    crash_pending_ = false;
-    if (job_failed_) co_return;  // storage retries exhausted during load
-    SimTime lost = sim_.Now() - began;
-    logger_.AddInfo(op, "Attempt", Json(static_cast<int64_t>(attempt) + 1));
-    logger_.AddInfo(op, "CrashedWorker", Json(RankActor(crash_worker_)));
-    logger_.AddInfo(op, "CrashIteration", Json(crash_at_iteration_));
-    logger_.AddInfo(op, "LostTime",
-                    Json(static_cast<uint64_t>(lost.nanos())));
-    logger_.EndOperation(op);
-    ++failed_attempts_;
-    lost_time_ += lost;
-  }
-
-  // Backoff + cluster resubmission between attempts, wrapped in a
-  // Restart operation so recovery overhead is priced in the tree.
-  sim::Task<> RunRestart(OpId root, uint32_t attempt) {
-    SimTime began = sim_.Now();
-    OpId op = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id, core::ops::kRestart,
-        StrFormat("Restart-%u", attempt));
-    co_await sim_.Delay(injector_.Backoff(attempt - 1));
-    co_await sim_.Delay(injector_.policy().resubmit_delay);
-    SimTime lost = sim_.Now() - began;
-    logger_.AddInfo(op, "Attempt", Json(static_cast<int64_t>(attempt) + 1));
-    logger_.AddInfo(op, "LostTime",
-                    Json(static_cast<uint64_t>(lost.nanos())));
-    logger_.EndOperation(op);
-    ++restarts_;
-    lost_time_ += lost;
-  }
-
   // ------------------------------------------------------------ startup --
-  sim::Task<> RunStartup(OpId root) {
-    OpId startup = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id, core::ops::kStartup,
-        core::ops::kStartup);
+  sim::Task<> RunStartup(OpId root) override {
+    OpId startup = StartJobOperation(root, core::ops::kStartup);
     OpId launch = logger_.StartOperation(startup, "Mpi", "mpirun",
                                          "LaunchRanks", "LaunchRanks");
     co_await mpi_.LaunchRanks(job_config_.num_workers);
-    std::vector<sim::ProcessHandle> locals;
-    for (uint32_t rank = 0; rank < job_config_.num_workers; ++rank) {
-      locals.push_back(sim_.Spawn(RankLocalStartup(launch, rank)));
-    }
-    co_await sim::JoinAll(std::move(locals));
+    co_await ForEachWorker(
+        [this, launch](uint32_t rank) { return RankLocalStartup(launch, rank); });
     logger_.EndOperation(launch);
     logger_.EndOperation(startup);
   }
 
   sim::Task<> RankLocalStartup(OpId parent, uint32_t rank) {
     OpId op = logger_.StartOperation(
-        parent, "Rank", RankActor(rank), "LocalStartup",
+        parent, "Rank", WorkerActor(rank), "LocalStartup",
         StrFormat("LocalStartup-%u", rank));
     co_await sim_.Delay(SimTime::Millis(700));  // graphlab runtime init
-    co_await RankCpu(rank).Run(SimTime::Millis(80));
+    co_await WorkerCpu(rank).Run(SimTime::Millis(80));
     logger_.EndOperation(op);
   }
 
   // --------------------------------------------------------- load graph --
-  sim::Task<> RunLoadGraph(OpId root) {
-    OpId load = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kLoadGraph, core::ops::kLoadGraph);
+  sim::Task<> RunLoadGraph(OpId root) override {
+    OpId load = StartJobOperation(root, core::ops::kLoadGraph);
 
     // Rank 0 reads and parses the entire input sequentially — the single
     // busy node of Fig. 7 while every other rank idles.
-    OpId read = logger_.StartOperation(load, "Coordinator", RankActor(0),
+    OpId read = logger_.StartOperation(load, "Coordinator", WorkerActor(0),
                                        "ReadInput", "ReadInput");
-    if (injector_.enabled()) {
-      // Transient storage errors: the loader retries in place with
-      // backoff; each dead read is a FailedAttempt child of ReadInput.
-      uint32_t retry = 0;
-      while (const sim::FaultSpec* fault =
-                 injector_.StorageFault(0, retry)) {
-        SimTime began = sim_.Now();
-        OpId failed = logger_.StartOperation(
-            read, "Coordinator", RankActor(0), core::ops::kFailedAttempt,
-            StrFormat("FailedAttempt-read-%u", retry + 1));
-        co_await sim_.Delay(fault->work_before_crash);
-        co_await sim_.Delay(injector_.Backoff(retry));
-        SimTime lost = sim_.Now() - began;
-        logger_.AddInfo(failed, "Attempt",
-                        Json(static_cast<int64_t>(retry) + 1));
-        logger_.AddInfo(failed, "LostTime",
-                        Json(static_cast<uint64_t>(lost.nanos())));
-        logger_.EndOperation(failed);
-        ++failed_attempts_;
-        lost_time_ += lost;
-        ++retry;
-        if (retry >= injector_.policy().max_attempts) {
-          job_failed_ = true;
-          logger_.EndOperation(read);
-          logger_.EndOperation(load);
-          co_return;
-        }
-      }
+    // Transient storage errors: the loader retries in place with backoff;
+    // each dead read is a FailedAttempt child of ReadInput.
+    if (!co_await RetryLoad(read, "Coordinator", WorkerActor(0),
+                            "FailedAttempt-read-", [this](uint32_t retry) {
+                              return injector_.StorageFault(0, retry);
+                            })) {
+      logger_.EndOperation(read);
+      logger_.EndOperation(load);
+      co_return;
     }
-    co_await sharedfs_.ReadAll(RankNode(0), "/data/graph.e");
+    co_await sharedfs_.ReadAll(0, "/data/graph.e");
     SimTime parse =
         cost_.parse_cpu_per_byte * static_cast<double>(input_bytes_);
     // PowerGraph's loader parses with a few threads on the one machine.
-    co_await RunOnThreads(&sim_, &RankCpu(0), parse, 4);
+    co_await RunOnThreads(&sim_, &WorkerCpu(0), parse, 4);
     logger_.AddInfo(read, "BytesRead", Json(input_bytes_));
     logger_.EndOperation(read);
 
     // Distribute edge shares, then all ranks finalize in parallel — the
     // point near the end of LoadGraph where the other nodes wake up.
-    std::vector<sim::ProcessHandle> finalizers;
-    for (uint32_t rank = 0; rank < job_config_.num_workers; ++rank) {
-      finalizers.push_back(sim_.Spawn(RankFinalize(load, rank)));
-    }
-    co_await sim::JoinAll(std::move(finalizers));
+    co_await ForEachWorker(
+        [this, load](uint32_t rank) { return RankFinalize(load, rank); });
     logger_.EndOperation(load);
   }
 
   sim::Task<> RankFinalize(OpId parent, uint32_t rank) {
     OpId op = logger_.StartOperation(
-        parent, "Rank", RankActor(rank), "FinalizeGraph",
+        parent, "Rank", WorkerActor(rank), "FinalizeGraph",
         StrFormat("FinalizeGraph-%u", rank));
     uint64_t local_edges = partition_.partitions[rank].edges.size();
     uint64_t share_bytes = graph_.num_edges() == 0
@@ -299,10 +126,10 @@ class PowerGraphJob {
                                : input_bytes_ * local_edges /
                                      graph_.num_edges();
     if (rank != 0) {
-      co_await cluster_.Send(RankNode(0), RankNode(rank), share_bytes);
+      co_await cluster_.Send(0, rank, share_bytes);
     }
     co_await RunOnThreads(
-        &sim_, &RankCpu(rank),
+        &sim_, &WorkerCpu(rank),
         cost_.finalize_cpu_per_edge * static_cast<double>(local_edges),
         job_config_.compute_threads);
     logger_.AddInfo(op, "LocalEdges", Json(local_edges));
@@ -310,81 +137,15 @@ class PowerGraphJob {
   }
 
   // ------------------------------------------------------ process graph --
-  // O(1): the active-set size is maintained incrementally (Scatter counts
-  // 0->1 transitions of next_active_) instead of scanning all vertices.
-  bool AnyActive() const { return active_count_ > 0; }
-
-  sim::Task<> RunProcessGraph(OpId root) {
-    process_op_ = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kProcessGraph, core::ops::kProcessGraph);
-    std::vector<sim::ProcessHandle> loops;
-    for (uint32_t rank = 0; rank < job_config_.num_workers; ++rank) {
-      loops.push_back(sim_.Spawn(RankProcessLoop(rank)));
-    }
-    while (true) {
-      uint64_t max_iters = program_.max_iterations();
-      bool capped = max_iters > 0 && iteration_ >= max_iters;
-      bool done = !AnyActive() || capped;
-      if (crash_pending_ && (done || iteration_ >= crash_at_iteration_)) {
-        // The victim dies partway into the iteration; the engine notices
-        // after the liveness timeout and aborts the whole job.
-        co_await sim_.Delay(crash_work_ + injector_.policy().detect_timeout);
-        process_done_ = true;
-        co_await start_barrier_.Arrive();
-        break;
-      }
-      if (done) {
-        process_done_ = true;
-        co_await start_barrier_.Arrive();
-        break;
-      }
-      iteration_op_ = logger_.StartOperation(
-          process_op_, "Engine", "Engine-0", "Iteration",
-          StrFormat("Iteration-%llu",
-                    static_cast<unsigned long long>(iteration_)));
-      co_await start_barrier_.Arrive();
-      co_await end_barrier_.Arrive();
-      logger_.EndOperation(iteration_op_);
-
-      // Synchronous-engine bookkeeping between iterations.
-      ++iteration_;
-      const uint64_t n = graph_.num_vertices();
-      const uint64_t fill_grain = ChunkedGrain(n);
-      ParallelFor(0, n, fill_grain, [&](uint64_t, uint64_t b, uint64_t e) {
-        std::fill(scatter_flag_.begin() + b, scatter_flag_.begin() + e, 0);
-        std::fill(acc_.begin() + b, acc_.begin() + e, 0.0);
-        std::fill(acc_has_.begin() + b, acc_has_.begin() + e, 0);
-      });
-      if (program_.always_active()) {
-        bool more = max_iters == 0 || iteration_ < max_iters;
-        ParallelFor(0, n, fill_grain, [&](uint64_t, uint64_t b, uint64_t e) {
-          std::fill(active_.begin() + b, active_.begin() + e, more ? 1 : 0);
-        });
-        active_count_ = more ? n : 0;
-      } else {
-        active_.swap(next_active_);
-        active_count_ = next_active_count_;
-      }
-      ParallelFor(0, n, fill_grain, [&](uint64_t, uint64_t b, uint64_t e) {
-        std::fill(next_active_.begin() + b, next_active_.begin() + e, 0);
-      });
-      next_active_count_ = 0;
-    }
-    co_await sim::JoinAll(std::move(loops));
-    logger_.AddInfo(process_op_, "Iterations", Json(iteration_));
-    logger_.EndOperation(process_op_);
+  // Scatter flags are per-iteration: cleared between iterations.
+  void OnIterationEnd() override {
+    const uint64_t n = graph_.num_vertices();
+    ParallelFor(0, n, ChunkedGrain(n), [&](uint64_t, uint64_t b, uint64_t e) {
+      std::fill(scatter_flag_.begin() + b, scatter_flag_.begin() + e, 0);
+    });
   }
 
-  sim::Task<> RankProcessLoop(uint32_t rank) {
-    while (true) {
-      co_await start_barrier_.Arrive();
-      if (process_done_) co_return;
-      co_await RankIteration(rank);
-    }
-  }
-
-  sim::Task<> RankIteration(uint32_t rank) {
+  sim::Task<> WorkerIteration(uint32_t rank) override {
     const auto& part = partition_.partitions[rank];
     const graph::Csr& adj = local_adjacency_[rank];
     const std::vector<VertexId>& reps = part.replicas;
@@ -396,7 +157,7 @@ class PowerGraphJob {
     // as the former per-edge loop, but each chunk writes only its own
     // vertices' accumulators, so the loop parallelizes race-free.
     OpId gather_op = logger_.StartOperation(
-        iteration_op_, "Rank", RankActor(rank), "Gather",
+        iteration_op_, "Rank", WorkerActor(rank), "Gather",
         StrFormat("Gather-%llu",
                   static_cast<unsigned long long>(iteration_)));
     uint64_t gather_ops = 0;
@@ -409,7 +170,8 @@ class PowerGraphJob {
                       VertexId v = reps[i];
                       if (active_[v] == 0) continue;
                       for (VertexId other : adj.neighbors(v)) {
-                        AccumulateGather(v, other);
+                        Accumulate(v, program_.Gather(v, other, values_[other],
+                                                      degree_[other]));
                         ++ops;
                       }
                     }
@@ -418,7 +180,7 @@ class PowerGraphJob {
       for (uint64_t ops : chunk_ops) gather_ops += ops;
     }
     co_await RunOnThreads(
-        &sim_, &RankCpu(rank),
+        &sim_, &WorkerCpu(rank),
         cost_.gather_per_edge * static_cast<double>(gather_ops),
         job_config_.compute_threads);
     logger_.AddInfo(gather_op, "GatherOps", Json(gather_ops));
@@ -426,11 +188,11 @@ class PowerGraphJob {
 
     // --- Exchange: mirrors push partial accumulators to masters.
     OpId exchange_op = logger_.StartOperation(
-        iteration_op_, "Rank", RankActor(rank), "Exchange",
+        iteration_op_, "Rank", WorkerActor(rank), "Exchange",
         StrFormat("Exchange-%llu",
                   static_cast<unsigned long long>(iteration_)));
-    // Flat per-master-rank byte counts (replaces the former std::map);
-    // sends below go in ascending rank order, as map iteration did.
+    // Flat per-master-rank byte counts; sends below go in ascending rank
+    // order.
     std::vector<uint64_t> sync_bytes(job_config_.num_workers, 0);
     {
       std::vector<std::vector<uint64_t>> chunk_sync(chunks);
@@ -454,8 +216,7 @@ class PowerGraphJob {
     }
     for (uint32_t target = 0; target < job_config_.num_workers; ++target) {
       if (sync_bytes[target] == 0) continue;
-      co_await cluster_.Send(RankNode(rank), RankNode(target),
-                             sync_bytes[target]);
+      co_await cluster_.Send(rank, target, sync_bytes[target]);
     }
     co_await stage_barrier_.Arrive();  // all gathers complete
     logger_.EndOperation(exchange_op);
@@ -463,7 +224,7 @@ class PowerGraphJob {
     // --- Apply: masters compute new values (then values sync to mirrors,
     // charged as the same per-replica sync volume).
     OpId apply_op = logger_.StartOperation(
-        iteration_op_, "Rank", RankActor(rank), "Apply",
+        iteration_op_, "Rank", WorkerActor(rank), "Apply",
         StrFormat("Apply-%llu",
                   static_cast<unsigned long long>(iteration_)));
     uint64_t applies = 0;
@@ -490,13 +251,12 @@ class PowerGraphJob {
       for (uint64_t count : chunk_applies) applies += count;
     }
     co_await RunOnThreads(
-        &sim_, &RankCpu(rank),
+        &sim_, &WorkerCpu(rank),
         cost_.apply_per_vertex * static_cast<double>(applies),
         job_config_.compute_threads);
     for (uint32_t target = 0; target < job_config_.num_workers; ++target) {
       if (sync_bytes[target] == 0) continue;
-      co_await cluster_.Send(RankNode(target), RankNode(rank),
-                             sync_bytes[target]);
+      co_await cluster_.Send(target, rank, sync_bytes[target]);
     }
     co_await stage_barrier_.Arrive();  // all applies complete
     logger_.AddInfo(apply_op, "Applies", Json(applies));
@@ -507,7 +267,7 @@ class PowerGraphJob {
     // itself — the same activation set as the per-edge push loop, without
     // concurrent writes to next_active_.
     OpId scatter_op = logger_.StartOperation(
-        iteration_op_, "Rank", RankActor(rank), "Scatter",
+        iteration_op_, "Rank", WorkerActor(rank), "Scatter",
         StrFormat("Scatter-%llu",
                   static_cast<unsigned long long>(iteration_)));
     uint64_t scatter_ops = 0;
@@ -541,66 +301,25 @@ class PowerGraphJob {
       }
     }
     co_await RunOnThreads(
-        &sim_, &RankCpu(rank),
+        &sim_, &WorkerCpu(rank),
         cost_.scatter_per_edge * static_cast<double>(scatter_ops),
         job_config_.compute_threads);
     co_await sim_.Delay(cost_.iteration_overhead);
     logger_.AddInfo(scatter_op, "ScatterOps", Json(scatter_ops));
     logger_.EndOperation(scatter_op);
-
-    co_await end_barrier_.Arrive();
-  }
-
-  // Attempt-scoped algorithm state. The partition, CSR adjacency, and
-  // degree table are inputs, not state: they survive restarts.
-  void InitAlgorithmState() {
-    const uint64_t n = graph_.num_vertices();
-    values_.resize(n);
-    active_.assign(n, 0);
-    next_active_.assign(n, 0);
-    scatter_flag_.assign(n, 0);
-    acc_.assign(n, 0.0);
-    acc_has_.assign(n, 0);
-    active_count_ = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      values_[v] = program_.InitialValue(v, n);
-      bool is_active = program_.InitiallyActive(v);
-      active_[v] = is_active ? 1 : 0;
-      if (is_active) ++active_count_;
-    }
-    next_active_count_ = 0;
-    iteration_ = 0;
-    process_done_ = false;
-  }
-  void ResetAlgorithmState() { InitAlgorithmState(); }
-
-  void AccumulateGather(VertexId self, VertexId other) {
-    double contribution =
-        program_.Gather(self, other, values_[other], degree_[other]);
-    if (acc_has_[self] != 0) {
-      acc_[self] = program_.Sum(acc_[self], contribution);
-    } else {
-      acc_[self] = contribution;
-      acc_has_[self] = 1;
-    }
   }
 
   // ----------------------------------------------------- offload graph --
-  sim::Task<> RunOffloadGraph(OpId root) {
-    OpId offload = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id,
-        core::ops::kOffloadGraph, core::ops::kOffloadGraph);
-    std::vector<sim::ProcessHandle> writers;
-    for (uint32_t rank = 0; rank < job_config_.num_workers; ++rank) {
-      writers.push_back(sim_.Spawn(RankOffload(offload, rank)));
-    }
-    co_await sim::JoinAll(std::move(writers));
+  sim::Task<> RunOffloadGraph(OpId root) override {
+    OpId offload = StartJobOperation(root, core::ops::kOffloadGraph);
+    co_await ForEachWorker(
+        [this, offload](uint32_t rank) { return RankOffload(offload, rank); });
     logger_.EndOperation(offload);
   }
 
   sim::Task<> RankOffload(OpId parent, uint32_t rank) {
     OpId op = logger_.StartOperation(
-        parent, "Rank", RankActor(rank), "WriteResults",
+        parent, "Rank", WorkerActor(rank), "WriteResults",
         StrFormat("WriteResults-%u", rank));
     uint64_t masters = 0;
     for (VertexId v : partition_.partitions[rank].replicas) {
@@ -608,20 +327,17 @@ class PowerGraphJob {
     }
     uint64_t bytes = cost_.result_bytes_per_vertex * masters;
     co_await RunOnThreads(
-        &sim_, &RankCpu(rank),
+        &sim_, &WorkerCpu(rank),
         cost_.serialize_cpu_per_byte * static_cast<double>(bytes),
         job_config_.compute_threads);
-    co_await sharedfs_.Write(RankNode(rank),
-                             StrFormat("/data/out-%u", rank), bytes);
+    co_await sharedfs_.Write(rank, StrFormat("/data/out-%u", rank), bytes);
     logger_.AddInfo(op, "BytesWritten", Json(bytes));
     logger_.EndOperation(op);
   }
 
   // ------------------------------------------------------------ cleanup --
-  sim::Task<> RunCleanup(OpId root) {
-    OpId cleanup = logger_.StartOperation(
-        root, core::ops::kJobActor, job_config_.job_id, core::ops::kCleanup,
-        core::ops::kCleanup);
+  sim::Task<> RunCleanup(OpId root) override {
+    OpId cleanup = StartJobOperation(root, core::ops::kCleanup);
     OpId op = logger_.StartOperation(cleanup, "Mpi", "mpirun", "Finalize",
                                      "Finalize");
     co_await mpi_.Finalize();
@@ -632,48 +348,15 @@ class PowerGraphJob {
 
   // --------------------------------------------------------------- state --
   const PowerGraphCostModel& cost_;
-  const graph::Graph& graph_;
-  const algo::GasProgram& program_;
-  JobConfig job_config_;
-
-  sim::Simulator sim_;
-  cluster::Cluster cluster_;
   cluster::SharedFs sharedfs_;
   cluster::MpiLauncher mpi_;
-  cluster::EnvironmentMonitor monitor_;
-  JobLogger logger_;
 
-  sim::Barrier start_barrier_;
-  sim::Barrier end_barrier_;
-  sim::Barrier stage_barrier_;
-
+  // Inputs: the vertex cut, per-rank CSR adjacency and the degree table.
   graph::VertexCutResult partition_;
   std::vector<graph::Csr> local_adjacency_;
-  std::vector<double> values_;
-  std::vector<uint8_t> active_, next_active_, scatter_flag_;
-  std::vector<double> acc_;
-  std::vector<uint8_t> acc_has_;
   std::vector<uint64_t> degree_;
-  // Frontier bookkeeping (replaces the O(V) AnyActive scan).
-  uint64_t active_count_ = 0;
-  uint64_t next_active_count_ = 0;
-
-  uint64_t input_bytes_ = 0;
-  uint64_t iteration_ = 0;
-  bool process_done_ = false;
-  OpId process_op_ = core::kNoOp;
-  OpId iteration_op_ = core::kNoOp;
-
-  // Fault injection (inert when the plan is empty).
-  sim::FaultInjector injector_;
-  bool crash_pending_ = false;
-  uint64_t crash_at_iteration_ = 0;
-  uint32_t crash_worker_ = 0;
-  SimTime crash_work_;
-  bool job_failed_ = false;
-  uint64_t failed_attempts_ = 0;
-  uint64_t restarts_ = 0;
-  SimTime lost_time_;
+  // Per-iteration: vertices whose Apply asked to scatter.
+  std::vector<uint8_t> scatter_flag_;
 };
 
 }  // namespace
@@ -682,11 +365,8 @@ Result<JobResult> PowerGraphPlatform::Run(
     const graph::Graph& graph, const algo::AlgorithmSpec& spec,
     const cluster::ClusterConfig& cluster_config,
     const JobConfig& job_config) const {
-  GRANULA_ASSIGN_OR_RETURN(auto program, algo::MakeGasProgram(spec));
-  PowerGraphJob job(cost_, graph, *program, cluster_config, job_config);
-  JobResult result;
-  GRANULA_RETURN_IF_ERROR(job.Execute(&result));
-  return result;
+  return RunEngineJob<PowerGraphJob>(cost_, graph, spec, cluster_config,
+                                    job_config);
 }
 
 }  // namespace granula::platform

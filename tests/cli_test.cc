@@ -346,6 +346,122 @@ TEST(CliTest, BenchConfigAndAxisErrorsAreUsageErrors) {
   }
 }
 
+// True when `dir` holds any file but the repository index.
+bool HoldsAnArchive(const std::string& dir) {
+  if (!std::filesystem::exists(dir)) return false;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename() != "index.json") return true;
+  }
+  return false;
+}
+
+TEST(CliTest, UnsupportedPlatformAlgorithmPairIsAUsageErrorBeforeAnyWork) {
+  {
+    Capture out("unsupported_run_out"), err("unsupported_run_err");
+    const std::string repo = FreshRepoDir("unsupported_run_repo");
+    EXPECT_EQ(RunCli({"run", "--platform=powergraph", "--algorithm=CDLP",
+                      "--graph=uniform:200,800", "--nodes=2",
+                      "--save-repo=" + repo},
+                     &out, &err),
+              kExitUsage);
+    EXPECT_NE(err.text().find("powergraph cannot run CDLP"),
+              std::string::npos)
+        << err.text();
+    EXPECT_FALSE(HoldsAnArchive(repo));
+  }
+  {
+    Capture out("unsupported_bench_out"), err("unsupported_bench_err");
+    const std::string repo = FreshRepoDir("unsupported_bench_repo");
+    EXPECT_EQ(RunCli({"bench", "--platforms=giraph,powergraph,hadoop",
+                      "--algorithms=BFS,LCC,CDLP",
+                      "--graphs=uniform:200,800", "--nodes=2",
+                      "--repo=" + repo},
+                     &out, &err),
+              kExitUsage);
+    EXPECT_NE(err.text().find("cannot run LCC"), std::string::npos)
+        << err.text();
+    EXPECT_FALSE(HoldsAnArchive(repo));
+  }
+}
+
+TEST(CliTest, RunAndBenchNumericFlagsAreStrict) {
+  for (const char* bad :
+       {"--iterations=abc", "--max-attempts=-1", "--source=-3",
+        "--model-level=two", "--checkpoint-interval=1.5"}) {
+    const std::string text = bad;
+    const std::string flag = text.substr(0, text.find('='));
+    {
+      Capture out("strict_run_out"), err("strict_run_err");
+      const std::string repo = FreshRepoDir("strict_run_repo");
+      EXPECT_EQ(RunCli({"run", "--platform=pgxd", "--graph=uniform:200,800",
+                        "--nodes=2", "--save-repo=" + repo, bad},
+                       &out, &err),
+                kExitUsage)
+          << bad;
+      EXPECT_NE(err.text().find("bad " + flag), std::string::npos)
+          << bad << ": " << err.text();
+      EXPECT_FALSE(HoldsAnArchive(repo)) << bad;
+    }
+    {
+      Capture out("strict_bench_out"), err("strict_bench_err");
+      const std::string repo = FreshRepoDir("strict_bench_repo");
+      EXPECT_EQ(RunCli({"bench", "--platforms=pgxd", "--algorithms=BFS",
+                        "--graphs=uniform:200,800", "--nodes=2",
+                        "--repo=" + repo, bad},
+                       &out, &err),
+                kExitUsage)
+          << bad;
+      EXPECT_NE(err.text().find("bad " + flag), std::string::npos)
+          << bad << ": " << err.text();
+      EXPECT_FALSE(HoldsAnArchive(repo)) << bad;
+    }
+  }
+  for (const char* bad : {"--workers=-1", "--fault-seed=x", "--nodes=8x"}) {
+    Capture out("strict_run2_out"), err("strict_run2_err");
+    EXPECT_EQ(RunCli({"run", "--platform=pgxd", "--graph=uniform:200,800",
+                      bad},
+                     &out, &err),
+              kExitUsage)
+        << bad;
+  }
+  for (const char* bad : {"--tolerance=-0.1", "--depth=x"}) {
+    Capture out("strict_bench2_out"), err("strict_bench2_err");
+    EXPECT_EQ(RunCli({"bench", "--platforms=pgxd", "--algorithms=BFS",
+                      "--graphs=uniform:200,800", "--nodes=2",
+                      "--repo=" + FreshRepoDir("strict_bench2_repo"), bad},
+                     &out, &err),
+              kExitUsage)
+        << bad;
+  }
+}
+
+TEST(CliTest, AnalyzeCompareAndQueryNumericFlagsAreStrict) {
+  const std::string archive = TempPath("strict_archive.json");
+  WriteArchiveFile(archive, 10.0);
+  {
+    Capture out("strict_analyze_out"), err("strict_analyze_err");
+    EXPECT_EQ(RunCli({"analyze", "--archive=" + archive, "--capacity=lots"},
+                     &out, &err),
+              kExitUsage);
+  }
+  for (const char* bad : {"--tolerance=abc", "--depth=-1"}) {
+    Capture out("strict_compare_out"), err("strict_compare_err");
+    EXPECT_EQ(RunCli({"compare", "--baseline=" + archive,
+                      "--candidate=" + archive, bad},
+                     &out, &err),
+              kExitUsage)
+        << bad;
+  }
+  {
+    Capture out("strict_query_out"), err("strict_query_err");
+    const std::string repo = FreshRepoDir("strict_query_repo");
+    std::filesystem::create_directories(repo);
+    EXPECT_EQ(RunCli({"query", "--repo=" + repo, "--since=yesterday"}, &out,
+                     &err),
+              kExitUsage);
+  }
+}
+
 TEST(CliTest, BenchSweepGateExitCodes) {
   std::string config = WriteSweepConfig("bench_config.json", kBenchConfig);
   std::string baseline_repo = FreshRepoDir("bench_baseline_repo");

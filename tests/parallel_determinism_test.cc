@@ -1,5 +1,5 @@
 // The hard requirement behind host parallelism: GRANULA_HOST_THREADS must be
-// a pure performance knob. For every engine, running the same job with 1, 2,
+// a pure performance knob. For every implemented engine, running the same job with 1, 2,
 // and 8 host threads must produce byte-identical serialized archives and
 // bit-identical vertex values. These tests sweep the global pool size inside
 // one process and byte-compare the outputs.
@@ -12,12 +12,8 @@
 
 #include "common/thread_pool.h"
 #include "granula/archive/archiver.h"
-#include "granula/models/models.h"
 #include "graph/generators.h"
-#include "platforms/giraph.h"
-#include "platforms/graphmat.h"
-#include "platforms/pgxd.h"
-#include "platforms/powergraph.h"
+#include "platforms/dispatch.h"
 
 namespace granula::platform {
 namespace {
@@ -37,39 +33,7 @@ struct RunOutput {
   std::vector<double> vertex_values;
 };
 
-constexpr const char* kPlatformNames[] = {"Giraph", "PowerGraph", "GraphMat",
-                                          "Pgxd"};
-
-Result<JobResult> RunPlatform(int which, const graph::Graph& g,
-                              const algo::AlgorithmSpec& spec) {
-  cluster::ClusterConfig cluster;
-  JobConfig job;
-  switch (which) {
-    case 0:
-      return GiraphPlatform().Run(g, spec, cluster, job);
-    case 1:
-      return PowerGraphPlatform().Run(g, spec, cluster, job);
-    case 2:
-      return GraphMatPlatform().Run(g, spec, cluster, job);
-    default:
-      return PgxdPlatform().Run(g, spec, cluster, job);
-  }
-}
-
-core::PerformanceModel ModelFor(int which) {
-  switch (which) {
-    case 0:
-      return core::MakeGiraphModel();
-    case 1:
-      return core::MakePowerGraphModel();
-    case 2:
-      return core::MakeGraphMatModel();
-    default:
-      return core::MakePgxdModel();
-  }
-}
-
-RunOutput CaptureRun(int which, algo::AlgorithmId id) {
+RunOutput CaptureRun(const std::string& platform, algo::AlgorithmId id) {
   graph::DatagenConfig config;
   config.num_vertices = 2000;
   config.avg_degree = 8.0;
@@ -82,54 +46,55 @@ RunOutput CaptureRun(int which, algo::AlgorithmId id) {
   spec.source = 1;
   if (id == algo::AlgorithmId::kPageRank) spec.max_iterations = 6;
 
-  auto result = RunPlatform(which, *g, spec);
+  auto result =
+      RunForPlatform(platform, *g, spec, cluster::ClusterConfig{}, JobConfig{});
   EXPECT_TRUE(result.ok()) << result.status();
+  auto model = ModelForPlatform(platform);
+  EXPECT_TRUE(model.ok()) << model.status();
 
-  auto archive =
-      core::Archiver().Build(ModelFor(which), result->records,
-                             std::move(result->environment), {});
+  auto archive = core::Archiver().Build(*model, result->records,
+                                        std::move(result->environment), {});
   EXPECT_TRUE(archive.ok()) << archive.status();
   return RunOutput{archive->ToJsonString(), result->vertex_values};
 }
 
 class ParallelDeterminism
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(ParallelDeterminism, ByteIdenticalAcrossHostThreadCounts) {
-  auto [platform_index, algo_index] = GetParam();
+  auto [platform, algo_index] = GetParam();
   algo::AlgorithmId id = algo_index == 0 ? algo::AlgorithmId::kBfs
                                          : algo::AlgorithmId::kPageRank;
   PoolSizeGuard guard;
   ThreadPool::Global().Resize(1);
-  RunOutput baseline = CaptureRun(platform_index, id);
+  RunOutput baseline = CaptureRun(platform, id);
   ASSERT_FALSE(baseline.archive_json.empty());
   ASSERT_FALSE(baseline.vertex_values.empty());
 
   for (int threads : {2, 8}) {
     ThreadPool::Global().Resize(threads);
-    RunOutput out = CaptureRun(platform_index, id);
+    RunOutput out = CaptureRun(platform, id);
     // Byte-compare without dumping megabytes of JSON on mismatch.
     EXPECT_TRUE(out.archive_json == baseline.archive_json)
-        << kPlatformNames[platform_index] << " archive diverges at "
+        << platform << " archive diverges at "
         << threads << " host threads (sizes " << out.archive_json.size()
         << " vs " << baseline.archive_json.size() << ")";
     EXPECT_TRUE(out.vertex_values == baseline.vertex_values)
-        << kPlatformNames[platform_index]
-        << " vertex values diverge at " << threads << " host threads";
+        << platform << " vertex values diverge at " << threads << " host threads";
   }
 }
 
 std::string CaseName(
-    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+    const ::testing::TestParamInfo<std::tuple<std::string, int>>& info) {
   static const char* kAlgoNames[] = {"Bfs", "PageRank"};
-  return std::string(kPlatformNames[std::get<0>(info.param)]) + "_" +
-         kAlgoNames[std::get<1>(info.param)];
+  return std::get<0>(info.param) + "_" + kAlgoNames[std::get<1>(info.param)];
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPlatforms, ParallelDeterminism,
-                         ::testing::Combine(::testing::Range(0, 4),
-                                            ::testing::Range(0, 2)),
-                         CaseName);
+INSTANTIATE_TEST_SUITE_P(
+    AllPlatforms, ParallelDeterminism,
+    ::testing::Combine(::testing::ValuesIn(ImplementedPlatformNames()),
+                       ::testing::Range(0, 2)),
+    CaseName);
 
 // Same property for repeated runs at a fixed, oversubscribed thread count —
 // guards against accidental dependence on thread scheduling (as opposed to
@@ -137,8 +102,8 @@ INSTANTIATE_TEST_SUITE_P(AllPlatforms, ParallelDeterminism,
 TEST(ParallelDeterminismTest, RepeatedRunsIdenticalWhenOversubscribed) {
   PoolSizeGuard guard;
   ThreadPool::Global().Resize(8);
-  RunOutput a = CaptureRun(/*which=*/0, algo::AlgorithmId::kBfs);
-  RunOutput b = CaptureRun(/*which=*/0, algo::AlgorithmId::kBfs);
+  RunOutput a = CaptureRun("giraph", algo::AlgorithmId::kBfs);
+  RunOutput b = CaptureRun("giraph", algo::AlgorithmId::kBfs);
   EXPECT_TRUE(a.archive_json == b.archive_json);
   EXPECT_TRUE(a.vertex_values == b.vertex_values);
 }

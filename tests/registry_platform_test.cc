@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/generators.h"
+#include "platforms/dispatch.h"
 #include "sim/resources.h"
 
 namespace granula::platform {
@@ -111,6 +113,44 @@ TEST(ToEnvironmentRecordsTest, ConvertsAllFields) {
   EXPECT_DOUBLE_EQ(records[0].cpu_seconds_per_second, 12.0);
   EXPECT_DOUBLE_EQ(records[0].net_bytes_per_second, 1000.0);
   EXPECT_DOUBLE_EQ(records[0].disk_bytes_per_second, 2000.0);
+}
+
+// The support matrix README documents, checked both ways: the up-front
+// check agrees with what the engine does when actually asked to run.
+TEST(SupportMatrixTest, CheckAgreesWithTheEnginesAndTheDocumentedMatrix) {
+  auto g = graph::GenerateUniform(60, 180, 5);
+  ASSERT_TRUE(g.ok()) << g.status();
+  const std::string expected =
+      "giraph:BFS,PageRank,WCC,SSSP,CDLP;"
+      "powergraph:BFS,PageRank,WCC,SSSP;"
+      "graphmat:BFS,PageRank,WCC,SSSP;"
+      "pgxd:BFS,PageRank,WCC,SSSP;"
+      "hadoop:BFS,PageRank,WCC,SSSP,CDLP;";
+  std::string matrix;
+  for (const std::string& name : ImplementedPlatformNames()) {
+    std::string row;
+    for (algo::AlgorithmId id :
+         {algo::AlgorithmId::kBfs, algo::AlgorithmId::kPageRank,
+          algo::AlgorithmId::kWcc, algo::AlgorithmId::kSssp,
+          algo::AlgorithmId::kCdlp, algo::AlgorithmId::kLcc}) {
+      algo::AlgorithmSpec spec;
+      spec.id = id;
+      spec.max_iterations = 2;
+      JobConfig job;
+      job.num_workers = 2;
+      bool supported = CheckPlatformSupports(name, spec).ok();
+      auto run = RunForPlatform(name, *g, spec, cluster::ClusterConfig{}, job);
+      EXPECT_EQ(supported, run.ok())
+          << name << "/" << algo::AlgorithmName(id) << ": " << run.status();
+      if (supported) {
+        row += (row.empty() ? "" : ",") + std::string(algo::AlgorithmName(id));
+      }
+    }
+    matrix += name + ":" + row + ";";
+  }
+  EXPECT_EQ(matrix, expected);
+  EXPECT_EQ(CheckPlatformSupports("spark", algo::AlgorithmSpec{}).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -173,6 +173,32 @@ TEST(ExpandSweepTest, BadAxisValuesFailBeforeAnythingRuns) {
   EXPECT_NE(jobs.status().message().find("duplicate"), std::string::npos);
 }
 
+TEST(ExpandSweepTest, UnsupportedPlatformAlgorithmPairsAreRejected) {
+  SweepSpec spec;
+  spec.platforms = {"giraph", "powergraph", "hadoop"};
+  spec.algorithms = {"BFS", "LCC"};
+  spec.graphs = {"uniform:300,1200"};
+  Result<std::vector<SweepJob>> jobs = ExpandSweep(spec);
+  ASSERT_FALSE(jobs.ok());
+  EXPECT_EQ(jobs.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(jobs.status().message().find("giraph cannot run LCC"),
+            std::string::npos)
+      << jobs.status();
+
+  // CDLP has a Pregel program but no GAS one.
+  spec.algorithms = {"CDLP"};
+  jobs = ExpandSweep(spec);
+  ASSERT_FALSE(jobs.ok());
+  EXPECT_NE(jobs.status().message().find("powergraph cannot run CDLP"),
+            std::string::npos)
+      << jobs.status();
+
+  spec.platforms = {"giraph", "hadoop"};
+  jobs = ExpandSweep(spec);
+  ASSERT_TRUE(jobs.ok()) << jobs.status();
+  EXPECT_EQ(jobs->size(), 2u);
+}
+
 // ---------------------------------------------------------- end to end ----
 
 std::map<std::string, std::string> RepoFiles(const std::string& dir) {
@@ -258,6 +284,27 @@ TEST(RunSweepTest, SequentialAndParallelProduceTheSameBytes) {
   ASSERT_TRUE(RunSweep(*spec, parallel).ok());
   ASSERT_TRUE(RunSweep(*spec, sequential).ok());
   EXPECT_EQ(RepoFiles(parallel.repo_dir), RepoFiles(sequential.repo_dir));
+}
+
+TEST(RunSweepTest, UnsupportedPairFailsBeforeAnyArchiveIsSaved) {
+  SweepSpec spec;
+  spec.platforms = {"giraph", "powergraph", "hadoop"};
+  spec.algorithms = {"BFS", "LCC", "CDLP"};
+  spec.graphs = {"uniform:300,1200"};
+  spec.node_counts = {2};
+  SweepOptions options;
+  options.repo_dir = TempDir("unsupported");
+  Result<SweepResult> sweep = RunSweep(spec, options);
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_EQ(sweep.status().code(), StatusCode::kInvalidArgument);
+  bool saved_any = false;
+  if (std::filesystem::exists(options.repo_dir)) {
+    for (const auto& entry :
+         std::filesystem::directory_iterator(options.repo_dir)) {
+      saved_any = saved_any || entry.path().filename() != "index.json";
+    }
+  }
+  EXPECT_FALSE(saved_any) << "an archive was saved before the sweep failed";
 }
 
 TEST(RunSweepTest, BadGraphSpecNamesTheGraph) {

@@ -72,16 +72,6 @@ class Flags {
     auto it = values_.find(name);
     return it == values_.end() ? fallback : it->second.back();
   }
-  int64_t GetInt(const std::string& name, int64_t fallback) const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : std::atoll(it->second.back().c_str());
-  }
-  double GetDouble(const std::string& name, double fallback) const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : std::atof(it->second.back().c_str());
-  }
   // Every occurrence, in order — for sweep axes, where "--graphs=a
   // --graphs=b" accumulates (a graph spec may contain commas, so repeated
   // flags are the only unambiguous list syntax).
@@ -95,11 +85,10 @@ class Flags {
   std::map<std::string, std::vector<std::string>> values_;
 };
 
-// Strict numeric flags for the daemons and live commands (serve, watch,
-// fleet, feed): a value must parse in full and lie in range — never
-// atoll/atof's silent 0 for "abc", nor a negative count wrapped into a
-// huge unsigned one. The first bad flag is kept, so the command reads
-// them all and then answers exit 64 once.
+// Every command's numeric flags: a value must parse in full and lie in
+// range — never atoll/atof's silent 0 for "abc", nor a negative count
+// wrapped into a huge unsigned one. The first bad flag is kept, so a
+// command reads them all and then answers exit 64 once, before any work.
 class NumericFlags {
  public:
   explicit NumericFlags(const Flags& flags) : flags_(flags) {}
@@ -157,13 +146,15 @@ Result<core::PerformanceModel> ModelByName(const std::string& name) {
 // retry-policy knobs. --fault-seed adds a seeded random plan on top
 // (--fault-count faults).
 Result<sim::FaultPlan> ParseFaultFlags(const Flags& flags,
+                                       NumericFlags& nums,
                                        uint32_t num_workers,
                                        uint64_t max_step) {
   sim::FaultPlan plan;
+  uint64_t seed = nums.Uint("fault-seed", 1, 0, UINT64_MAX);
+  uint64_t count = nums.Uint("fault-count", 2, 0, UINT32_MAX);
   if (flags.Has("fault-seed")) {
-    plan = sim::FaultPlan::Random(
-        static_cast<uint64_t>(flags.GetInt("fault-seed", 1)), num_workers,
-        max_step, static_cast<uint32_t>(flags.GetInt("fault-count", 2)));
+    plan = sim::FaultPlan::Random(seed, num_workers, max_step,
+                                  static_cast<uint32_t>(count));
   }
   if (flags.Has("fault")) {
     GRANULA_ASSIGN_OR_RETURN(sim::FaultPlan parsed,
@@ -171,9 +162,9 @@ Result<sim::FaultPlan> ParseFaultFlags(const Flags& flags,
     for (const sim::FaultSpec& spec : parsed.specs()) plan.Add(spec);
   }
   plan.retry.max_attempts =
-      static_cast<uint32_t>(flags.GetInt("max-attempts", 4));
+      static_cast<uint32_t>(nums.Uint("max-attempts", 4, 0, UINT32_MAX));
   plan.retry.checkpoint_interval =
-      static_cast<uint64_t>(flags.GetInt("checkpoint-interval", 2));
+      nums.Uint("checkpoint-interval", 2, 0, UINT64_MAX);
   return plan;
 }
 
@@ -189,20 +180,40 @@ Result<core::PerformanceArchive> LoadArchive(const std::string& path) {
 
 Result<int> CmdRun(const Flags& flags, std::FILE* out, std::FILE* err) {
   std::string platform_name = flags.Get("platform", "giraph");
-  GRANULA_ASSIGN_OR_RETURN(
-      graph::Graph graph,
-      graph::GraphFromSpec(flags.Get("graph", "datagen:20000")));
-
   algo::AlgorithmSpec spec;
   GRANULA_ASSIGN_OR_RETURN(spec.id,
                            algo::ParseAlgorithm(flags.Get("algorithm", "BFS")));
-  spec.source = static_cast<graph::VertexId>(flags.GetInt("source", 1));
-  spec.max_iterations =
-      static_cast<uint64_t>(flags.GetInt("iterations", 10));
-
+  NumericFlags nums(flags);
+  spec.source = nums.Uint("source", 1, 0, UINT64_MAX);
+  spec.max_iterations = nums.Uint("iterations", 10, 0, UINT64_MAX);
   cluster::ClusterConfig cluster_config;
   cluster_config.num_nodes =
-      static_cast<uint32_t>(flags.GetInt("nodes", 8));
+      static_cast<uint32_t>(nums.Uint("nodes", 8, 0, UINT32_MAX));
+  platform::JobConfig job_config;
+  job_config.num_workers = static_cast<uint32_t>(
+      nums.Uint("workers", cluster_config.num_nodes, 0, UINT32_MAX));
+  job_config.live_log_path = flags.Get("live-log");
+  job_config.live_log_delay_us =
+      nums.Uint("live-log-delay-us", 0, 0, UINT64_MAX);
+  GRANULA_ASSIGN_OR_RETURN(
+      job_config.faults, ParseFaultFlags(flags, nums, job_config.num_workers,
+                                         spec.max_iterations));
+  core::Archiver::Options archiver_options;
+  archiver_options.max_level =
+      static_cast<int>(nums.Uint("model-level", 0, 0, INT_MAX));
+  if (!nums.Ok(err, "run")) return kExitUsage;
+
+  GRANULA_ASSIGN_OR_RETURN(core::PerformanceModel model,
+                           platform::ModelForPlatform(platform_name));
+  if (Status supported =
+          platform::CheckPlatformSupports(platform_name, spec);
+      !supported.ok()) {
+    std::fprintf(err, "granula run: %s\n", supported.message().c_str());
+    return kExitUsage;
+  }
+  GRANULA_ASSIGN_OR_RETURN(
+      graph::Graph graph,
+      graph::GraphFromSpec(flags.Get("graph", "datagen:20000")));
   if (flags.Has("slow-node")) {
     // Strictly validated: both fields must parse and the factor must be
     // positive. (strtoull/atof would quietly turn "abc:xyz" into "node 0
@@ -234,18 +245,6 @@ Result<int> CmdRun(const Flags& flags, std::FILE* out, std::FILE* err) {
     cluster_config.node_speed_factors[*node] = *factor;
   }
 
-  platform::JobConfig job_config;
-  job_config.num_workers = static_cast<uint32_t>(
-      flags.GetInt("workers", cluster_config.num_nodes));
-  job_config.live_log_path = flags.Get("live-log");
-  job_config.live_log_delay_us =
-      static_cast<uint64_t>(flags.GetInt("live-log-delay-us", 0));
-  GRANULA_ASSIGN_OR_RETURN(
-      job_config.faults,
-      ParseFaultFlags(flags, job_config.num_workers, spec.max_iterations));
-
-  GRANULA_ASSIGN_OR_RETURN(core::PerformanceModel model,
-                           platform::ModelForPlatform(platform_name));
   GRANULA_ASSIGN_OR_RETURN(
       platform::JobResult result,
       platform::RunForPlatform(platform_name, graph, spec, cluster_config,
@@ -258,9 +257,6 @@ Result<int> CmdRun(const Flags& flags, std::FILE* out, std::FILE* err) {
                  flags.Get("log-out").c_str());
   }
 
-  core::Archiver::Options archiver_options;
-  archiver_options.max_level =
-      static_cast<int>(flags.GetInt("model-level", 0));
   GRANULA_ASSIGN_OR_RETURN(
       core::PerformanceArchive archive,
       core::Archiver(archiver_options)
@@ -391,21 +387,23 @@ Result<int> CmdBench(const Flags& flags, std::FILE* out, std::FILE* err) {
       spec.faults.push_back({one.substr(0, eq), one.substr(eq + 1)});
     }
   }
-  if (flags.Has("iterations")) {
-    spec.iterations = static_cast<uint64_t>(flags.GetInt("iterations", 10));
-  }
-  if (flags.Has("source")) spec.source = flags.GetInt("source", 1);
-  if (flags.Has("max-attempts")) {
-    spec.max_attempts =
-        static_cast<uint32_t>(flags.GetInt("max-attempts", 4));
-  }
-  if (flags.Has("checkpoint-interval")) {
-    spec.checkpoint_interval =
-        static_cast<uint64_t>(flags.GetInt("checkpoint-interval", 2));
-  }
-  if (flags.Has("model-level")) {
-    spec.model_level = static_cast<int>(flags.GetInt("model-level", 0));
-  }
+  NumericFlags nums(flags);
+  spec.iterations = nums.Uint("iterations", spec.iterations, 0, UINT64_MAX);
+  spec.source = static_cast<int64_t>(
+      nums.Uint("source", static_cast<uint64_t>(spec.source), 0, INT64_MAX));
+  spec.max_attempts = static_cast<uint32_t>(
+      nums.Uint("max-attempts", spec.max_attempts, 0, UINT32_MAX));
+  spec.checkpoint_interval = nums.Uint(
+      "checkpoint-interval", spec.checkpoint_interval, 0, UINT64_MAX);
+  spec.model_level = static_cast<int>(
+      nums.Uint("model-level", static_cast<uint64_t>(spec.model_level), 0,
+                INT_MAX));
+  // --depth cuts the regression gate's flatten tables.
+  const int depth = static_cast<int>(nums.Uint("depth", 0, 0, INT_MAX));
+  core::RegressionOptions regression_options;
+  regression_options.tolerance = nums.NonNegative("tolerance", 0.10);
+  regression_options.max_depth = depth;
+  if (!nums.Ok(err, "bench")) return kExitUsage;
 
   bench::SweepOptions options;
   options.repo_dir = flags.Get("repo", "sweep-archives");
@@ -428,12 +426,9 @@ Result<int> CmdBench(const Flags& flags, std::FILE* out, std::FILE* err) {
                       "exhausted); their archives are incomplete\n");
   }
 
-  // --depth cuts the regression gate's flatten tables. The archives are
-  // reduced by zero-copy scans (ScanSweepSummaries): packed (GBA) bodies
-  // are mmap'd and columnar-walked in place, nothing below the summary is
-  // ever materialized.
-  const int depth = static_cast<int>(flags.GetInt("depth", 0));
-
+  // The archives are reduced by zero-copy scans (ScanSweepSummaries):
+  // packed (GBA) bodies are mmap'd and columnar-walked in place, nothing
+  // below the summary is ever materialized.
   core::ArchiveRepository repo(options.repo_dir);
   GRANULA_ASSIGN_OR_RETURN(std::vector<core::SweepSummary> entries,
                            core::ScanSweepSummaries(repo, depth));
@@ -459,9 +454,6 @@ Result<int> CmdBench(const Flags& flags, std::FILE* out, std::FILE* err) {
   core::ArchiveRepository baseline_repo(flags.Get("baseline"));
   GRANULA_ASSIGN_OR_RETURN(std::vector<core::SweepSummary> baseline_entries,
                            core::ScanSweepSummaries(baseline_repo, depth));
-  core::RegressionOptions regression_options;
-  regression_options.tolerance = flags.GetDouble("tolerance", 0.10);
-  regression_options.max_depth = depth;
   core::SweepRegressionSummary summary = core::CompareSweepSummaries(
       baseline_entries, entries, regression_options);
   std::fprintf(out, "\n%s",
@@ -520,33 +512,37 @@ Result<int> CmdLint(const Flags& flags, std::FILE* out) {
   return report.HasFatal() ? kExitFatalLint : kExitOk;
 }
 
-Result<int> CmdAnalyze(const Flags& flags, std::FILE* out) {
+Result<int> CmdAnalyze(const Flags& flags, std::FILE* out, std::FILE* err) {
   if (!flags.Has("archive")) {
     return Status::InvalidArgument("analyze requires --archive=FILE");
   }
+  NumericFlags nums(flags);
+  core::ChokepointOptions options;
+  options.cluster_cpu_capacity = nums.NonNegative("capacity", 128.0);
+  if (!nums.Ok(err, "analyze")) return kExitUsage;
   GRANULA_ASSIGN_OR_RETURN(core::PerformanceArchive archive,
                            LoadArchive(flags.Get("archive")));
   std::fprintf(out, "%s\n", core::RenderBreakdownBar(archive).c_str());
-  core::ChokepointOptions options;
-  options.cluster_cpu_capacity = flags.GetDouble("capacity", 128.0);
   std::fprintf(out, "%s",
                core::RenderFindings(core::AnalyzeChokepoints(archive, options))
                    .c_str());
   return kExitOk;
 }
 
-Result<int> CmdCompare(const Flags& flags, std::FILE* out) {
+Result<int> CmdCompare(const Flags& flags, std::FILE* out, std::FILE* err) {
   if (!flags.Has("baseline") || !flags.Has("candidate")) {
     return Status::InvalidArgument(
         "compare requires --baseline=FILE --candidate=FILE");
   }
+  NumericFlags nums(flags);
+  core::RegressionOptions options;
+  options.tolerance = nums.NonNegative("tolerance", 0.10);
+  options.max_depth = static_cast<int>(nums.Uint("depth", 0, 0, INT_MAX));
+  if (!nums.Ok(err, "compare")) return kExitUsage;
   GRANULA_ASSIGN_OR_RETURN(core::PerformanceArchive baseline,
                            LoadArchive(flags.Get("baseline")));
   GRANULA_ASSIGN_OR_RETURN(core::PerformanceArchive candidate,
                            LoadArchive(flags.Get("candidate")));
-  core::RegressionOptions options;
-  options.tolerance = flags.GetDouble("tolerance", 0.10);
-  options.max_depth = static_cast<int>(flags.GetInt("depth", 0));
   core::RegressionReport report =
       core::CompareArchives(baseline, candidate, options);
   std::fprintf(out, "%s", core::RenderRegressionReport(report).c_str());
@@ -721,8 +717,12 @@ Result<int> CmdQuery(const Flags& flags, std::FILE* out, std::FILE* err) {
   query.platform = flags.Get("platform");
   query.algorithm = flags.Get("algorithm");
   query.status = flags.Get("status");
-  query.saved_since = flags.GetInt("since", 0);
-  query.saved_until = flags.GetInt("until", 0);
+  NumericFlags nums(flags);
+  query.saved_since =
+      static_cast<int64_t>(nums.Uint("since", 0, 0, INT64_MAX));
+  query.saved_until =
+      static_cast<int64_t>(nums.Uint("until", 0, 0, INT64_MAX));
+  if (!nums.Ok(err, "query")) return kExitUsage;
   GRANULA_ASSIGN_OR_RETURN(auto entries, repo.Select(query));
   PrintEntryTable(entries, out);
   return kExitOk;
@@ -1075,9 +1075,9 @@ int RunGranula(const std::vector<std::string>& args, std::FILE* out,
   } else if (command == "lint") {
     code = CmdLint(*flags, out);
   } else if (command == "analyze") {
-    code = CmdAnalyze(*flags, out);
+    code = CmdAnalyze(*flags, out, err);
   } else if (command == "compare") {
-    code = CmdCompare(*flags, out);
+    code = CmdCompare(*flags, out, err);
   } else if (command == "watch") {
     code = CmdWatch(*flags, out, err);
   } else if (command == "list") {

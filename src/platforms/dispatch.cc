@@ -25,6 +25,13 @@ struct Engine {
                            const cluster::ClusterConfig&, const JobConfig&);
 };
 
+// Whether an engine running `Program`s can run `spec`: the factory's own
+// verdict, so support is never listed by hand.
+template <typename Program>
+Status CheckProgram(const algo::AlgorithmSpec& spec) {
+  return MakeProgram<Program>(spec).status();
+}
+
 template <typename Platform>
 Result<JobResult> RunDefault(const graph::Graph& graph,
                              const algo::AlgorithmSpec& spec,

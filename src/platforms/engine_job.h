@@ -122,13 +122,6 @@ MakeProgram<algo::GasProgram>(const algo::AlgorithmSpec& spec) {
   return algo::MakeGasProgram(spec);
 }
 
-// Whether an engine running `Program`s can run `spec`: the factory's own
-// verdict, so support is never listed by hand.
-template <typename Program>
-Status CheckProgram(const algo::AlgorithmSpec& spec) {
-  return MakeProgram<Program>(spec).status();
-}
-
 // The body of every XPlatform::Run: builds the engine's program, runs one
 // `Job` (constructed from the cost model, `extra` engine options, graph,
 // program and configs) and returns its result.

@@ -12,12 +12,12 @@
 namespace granula::platform {
 
 // The superstep driver shared by the engines that run GasPrograms
-// (PowerGraph, GraphMat, PGX.D). All three are MPI-style batch jobs with
-// one worker per node, synchronous iterations and no checkpoints. The
-// driver holds the vertex, accumulator and frontier state, resubmits a
-// failed job from scratch, and runs the master iteration loop and each
-// worker's process loop. An engine supplies its phases, the body of one
-// worker's iteration, and two hooks around the loop.
+// (PowerGraph, GraphMat, PGX.D). All three are batch jobs with one worker
+// per node, synchronous iterations and no checkpoints. The driver holds the
+// vertex, accumulator and frontier state, resubmits a failed job from
+// scratch, and runs the master iteration loop and each worker's process
+// loop. An engine supplies its phases, the body of one worker's iteration,
+// and two hooks around the loop.
 class GasJob : public EngineJob {
  public:
   using Program = algo::GasProgram;

@@ -68,8 +68,9 @@ class PowerGraphJob : public GasJob {
     OpId launch = logger_.StartOperation(startup, "Mpi", "mpirun",
                                          "LaunchRanks", "LaunchRanks");
     co_await mpi_.LaunchRanks(job_config_.num_workers);
-    co_await ForEachWorker(
-        [this, launch](uint32_t rank) { return RankLocalStartup(launch, rank); });
+    co_await ForEachWorker([this, launch](uint32_t rank) {
+      return RankLocalStartup(launch, rank);
+    });
     logger_.EndOperation(launch);
     logger_.EndOperation(startup);
   }

@@ -35,7 +35,9 @@ class Fnv1a {
   }
   void U64(uint64_t v) {
     unsigned char le[8];
-    for (int i = 0; i < 8; ++i) le[i] = static_cast<unsigned char>(v >> (8 * i));
+    for (int i = 0; i < 8; ++i) {
+      le[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
     Bytes(le, sizeof(le));
   }
   void F64(double v) {

@@ -1,7 +1,7 @@
 // The hard requirement behind host parallelism: GRANULA_HOST_THREADS must be
-// a pure performance knob. For every implemented engine, running the same job with 1, 2,
-// and 8 host threads must produce byte-identical serialized archives and
-// bit-identical vertex values. These tests sweep the global pool size inside
+// a pure performance knob. For every implemented engine, running the same
+// job with 1, 2, and 8 host threads must produce byte-identical serialized
+// archives and bit-identical vertex values. These tests sweep the global pool size inside
 // one process and byte-compare the outputs.
 
 #include <string>
@@ -80,7 +80,8 @@ TEST_P(ParallelDeterminism, ByteIdenticalAcrossHostThreadCounts) {
         << threads << " host threads (sizes " << out.archive_json.size()
         << " vs " << baseline.archive_json.size() << ")";
     EXPECT_TRUE(out.vertex_values == baseline.vertex_values)
-        << platform << " vertex values diverge at " << threads << " host threads";
+        << platform << " vertex values diverge at " << threads
+        << " host threads";
   }
 }
 

@@ -211,9 +211,6 @@ Result<int> CmdRun(const Flags& flags, std::FILE* out, std::FILE* err) {
     std::fprintf(err, "granula run: %s\n", supported.message().c_str());
     return kExitUsage;
   }
-  GRANULA_ASSIGN_OR_RETURN(
-      graph::Graph graph,
-      graph::GraphFromSpec(flags.Get("graph", "datagen:20000")));
   if (flags.Has("slow-node")) {
     // Strictly validated: both fields must parse and the factor must be
     // positive. (strtoull/atof would quietly turn "abc:xyz" into "node 0
@@ -245,6 +242,9 @@ Result<int> CmdRun(const Flags& flags, std::FILE* out, std::FILE* err) {
     cluster_config.node_speed_factors[*node] = *factor;
   }
 
+  GRANULA_ASSIGN_OR_RETURN(
+      graph::Graph graph,
+      graph::GraphFromSpec(flags.Get("graph", "datagen:20000")));
   GRANULA_ASSIGN_OR_RETURN(
       platform::JobResult result,
       platform::RunForPlatform(platform_name, graph, spec, cluster_config,

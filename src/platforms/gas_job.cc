@@ -110,6 +110,42 @@ void GasJob::InitAlgorithmState() {
   process_done_ = false;
 }
 
+GasJob::ApplyCounts GasJob::ApplyChangedValues(
+    const std::vector<VertexId>& owned, const graph::Csr& adjacency) {
+  const uint64_t grain = ChunkedGrain(owned.size());
+  const uint64_t chunks = ThreadPool::NumChunks(owned.size(), grain);
+  std::vector<ApplyCounts> chunk_counts(chunks);
+  std::vector<uint64_t> chunk_newly_active(chunks, 0);
+  ParallelFor(0, owned.size(), grain,
+              [&](uint64_t chunk, uint64_t cb, uint64_t ce) {
+                ApplyCounts& mine = chunk_counts[chunk];
+                for (uint64_t i = cb; i < ce; ++i) {
+                  VertexId v = owned[i];
+                  if (acc_has_[v] == 0 && active_[v] == 0) continue;
+                  double acc =
+                      acc_has_[v] != 0 ? acc_[v] : program_.GatherInit();
+                  algo::GasProgram::ApplyResult r = program_.Apply(
+                      v, values_[v], acc, graph_.num_vertices());
+                  if (r.new_value != values_[v]) {
+                    values_[v] = r.new_value;
+                    if (r.scatter && next_active_[v] == 0) {
+                      next_active_[v] = 1;
+                      ++chunk_newly_active[chunk];
+                      mine.activated_degree += adjacency.degree(v);
+                    }
+                  }
+                  ++mine.applies;
+                }
+              });
+  ApplyCounts total;
+  for (uint64_t c = 0; c < chunks; ++c) {
+    total.applies += chunk_counts[c].applies;
+    total.activated_degree += chunk_counts[c].activated_degree;
+    next_active_count_ += chunk_newly_active[c];
+  }
+  return total;
+}
+
 sim::Task<> GasJob::RunProcessGraph(OpId root) {
   OpId process = StartJobOperation(root, core::ops::kProcessGraph);
   std::vector<sim::ProcessHandle> loops;

@@ -52,6 +52,19 @@ class GasJob : public EngineJob {
     }
   }
 
+  // Apply where a vertex is active only while its value changes (GraphMat,
+  // PGX.D): applies every vertex of `owned` that is active or received a
+  // contribution, and puts a vertex whose value changed and that asks to
+  // scatter on the next frontier. Host-parallel over `owned`; counts merge
+  // in chunk order.
+  struct ApplyCounts {
+    uint64_t applies = 0;
+    // Summed `adjacency` degree of the newly activated vertices.
+    uint64_t activated_degree = 0;
+  };
+  ApplyCounts ApplyChangedValues(const std::vector<graph::VertexId>& owned,
+                                 const graph::Csr& adjacency);
+
   const algo::GasProgram& program_;
   const std::string worker_type_;
 

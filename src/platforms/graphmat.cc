@@ -164,38 +164,7 @@ class GraphMatJob : public GasJob {
         iteration_op_, "Rank", WorkerActor(rank), "Apply",
         StrFormat("Apply-%llu",
                   static_cast<unsigned long long>(iteration_)));
-    uint64_t applies = 0;
-    {
-      std::vector<uint64_t> chunk_applies(chunks, 0);
-      std::vector<uint64_t> chunk_newly_active(chunks, 0);
-      ParallelFor(0, owned.size(), grain,
-                  [&](uint64_t chunk, uint64_t cb, uint64_t ce) {
-                    uint64_t count = 0;
-                    uint64_t newly_active = 0;
-                    for (uint64_t i = cb; i < ce; ++i) {
-                      VertexId v = owned[i];
-                      if (acc_has_[v] == 0 && active_[v] == 0) continue;
-                      double acc =
-                          acc_has_[v] != 0 ? acc_[v] : program_.GatherInit();
-                      algo::GasProgram::ApplyResult r = program_.Apply(
-                          v, values_[v], acc, graph_.num_vertices());
-                      if (r.new_value != values_[v]) {
-                        values_[v] = r.new_value;
-                        if (r.scatter && next_active_[v] == 0) {
-                          next_active_[v] = 1;
-                          ++newly_active;
-                        }
-                      }
-                      ++count;
-                    }
-                    chunk_applies[chunk] = count;
-                    chunk_newly_active[chunk] = newly_active;
-                  });
-      for (uint64_t c = 0; c < chunks; ++c) {
-        applies += chunk_applies[c];
-        next_active_count_ += chunk_newly_active[c];
-      }
-    }
+    uint64_t applies = ApplyChangedValues(owned, adjacency_).applies;
     co_await RunOnThreads(
         &sim_, &WorkerCpu(rank),
         cost_.apply_per_vertex * static_cast<double>(applies),

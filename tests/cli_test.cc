@@ -630,8 +630,10 @@ TEST(CliTest, QueryGbaDumpMatchesTheWireEncoder) {
   ASSERT_TRUE(subtree.ok()) << subtree.status();
   EXPECT_EQ(bytes.str(), core::EncodeGbaSubtree(**subtree));
 
-  // The dump is a standalone, decodable GBA file.
-  auto view = core::ArchiveView::Open(bytes.str());
+  // The dump is a standalone, decodable GBA file. The view borrows its
+  // bytes, so they must outlive it.
+  const std::string gba = bytes.str();
+  auto view = core::ArchiveView::Open(gba);
   ASSERT_TRUE(view.ok()) << view.status();
   auto decoded = view->Decode();
   ASSERT_TRUE(decoded.ok()) << decoded.status();

@@ -13,7 +13,9 @@
 //                    [--checkpoint-interval=2]
 //                    (fault SPECs: crash:WORKER:STEP[:N] task:WORKER:STEP[:N]
 //                     storage:WORKER[:N] logdrop:SEQ logtrunc:SEQ;
-//                     exit 1 when the job exhausts its retries)
+//                     exit 1 when the job exhausts its retries; exit 64
+//                     before any work on a bad or negative numeric flag
+//                     or an algorithm the platform has no program for)
 //   granula bench    [--config=sweep.json]
 //                    [--platforms=giraph,pgxd,...] [--algorithms=BFS,WCC,...]
 //                    [--graphs=SPEC (repeatable)] [--nodes=4,8]
@@ -29,7 +31,9 @@
 //                     --baseline — gates against a committed baseline
 //                     sweep: exit 2 on a regression past tolerance or a
 //                     baseline job missing from the candidate; exit 64 on
-//                     config/axis errors. Flags override config axes; the
+//                     config/axis errors, bad numeric flags and platform x
+//                     algorithm pairs without a program, before any job
+//                     runs. Flags override config axes; the
 //                     config JSON uses the same axis names.)
 //   granula lint     --log=run.jsonl [--model=giraph|...]
 //                    [--tolerance=strict|repair] [--archive-out=fixed.json]

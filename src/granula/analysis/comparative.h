@@ -52,7 +52,7 @@ SweepSummary SummarizeArchiveView(std::string name, const ArchiveView& view,
                                   int max_depth);
 
 // Summaries for every archive of `repo`, reduced via
-// ArchiveRepository::ScanAll (parallel, zero-copy for packed bodies),
+// ArchiveRepository::ScanAll (parallel, zero-copy),
 // sorted by name — the input of the report and the gate below. Archives
 // without sweep metadata (foreign saves in a shared repository) still
 // summarize; their axis fields are simply empty.

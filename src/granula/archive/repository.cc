@@ -34,7 +34,6 @@ constexpr uint32_t kIndexVersion = 1;
 std::atomic<uint64_t> g_body_reads{0};
 std::atomic<uint64_t> g_scan_archives{0};
 std::atomic<uint64_t> g_scan_bytes{0};
-std::atomic<uint64_t> g_scan_fallbacks{0};
 std::atomic<int64_t (*)()> g_wall_clock{nullptr};
 std::mutex g_fault_hook_mutex;
 std::function<Status(const char* stage, const std::string& path)>
@@ -67,34 +66,20 @@ int64_t FileMtimeUnixSeconds(const std::string& path) {
   return 0;
 }
 
-uint64_t FileSizeOrZero(const std::string& path) {
-  std::error_code ec;
-  auto size = fs::file_size(path, ec);
-  return ec ? 0 : static_cast<uint64_t>(size);
-}
-
-const char* ExtensionFor(ArchiveFormat format) {
-  return format == ArchiveFormat::kGba ? ".gba" : ".json";
-}
-
-std::string EncodeBody(const PerformanceArchive& archive,
-                       ArchiveFormat format) {
-  return format == ArchiveFormat::kGba ? EncodeGba(archive)
-                                       : archive.ToJsonString();
+// Index entries that would change are the ones a crash between the body
+// and index writes could leave stale. The save time is not compared: an
+// unchanged overwrite (perfbench's replay) keeps its single index write.
+bool SameListing(const ArchiveRepository::Entry& a,
+                 const ArchiveRepository::Entry& b) {
+  return a.platform == b.platform && a.algorithm == b.algorithm &&
+         a.status == b.status && a.total_seconds == b.total_seconds &&
+         a.operations == b.operations;
 }
 
 }  // namespace
 
 std::string_view ArchiveFormatName(ArchiveFormat format) {
   return format == ArchiveFormat::kGba ? "gba" : "json";
-}
-
-Result<ArchiveFormat> ParseArchiveFormat(std::string_view name) {
-  if (name == "json") return ArchiveFormat::kJson;
-  if (name == "gba") return ArchiveFormat::kGba;
-  return Status::InvalidArgument(
-      StrFormat("unknown archive format '%.*s' (expected json or gba)",
-                static_cast<int>(name.size()), name.data()));
 }
 
 uint64_t ArchiveRepository::BodyReadCount() {
@@ -122,26 +107,42 @@ Status ArchiveRepository::Init() {
   return Status::OK();
 }
 
-std::string ArchiveRepository::PathFor(const std::string& name,
-                                       ArchiveFormat format) const {
-  return directory_ + "/" + name + ExtensionFor(format);
+std::string ArchiveRepository::PathFor(const std::string& name) const {
+  return directory_ + "/" + name + ".gba";
 }
 
 std::string ArchiveRepository::IndexPath() const {
   return directory_ + "/" + kIndexStem + ".json";
 }
 
-Result<ArchiveFormat> ArchiveRepository::DiskFormat(
-    const std::string& name) const {
-  std::error_code ec;
-  if (fs::exists(PathFor(name, ArchiveFormat::kGba), ec)) {
-    return ArchiveFormat::kGba;
+Status ArchiveRepository::CheckNotLegacy(
+    const std::map<std::string, Entry>& index) const {
+  for (const auto& [name, entry] : index) {
+    if (entry.format != ArchiveFormat::kGba) {
+      return Status::FailedPrecondition(StrFormat(
+          "%s holds JSON archive bodies written by an older granula (e.g. "
+          "%s.json); convert them once with 'granula pack --repo=%s'",
+          directory_.c_str(), name.c_str(), directory_.c_str()));
+    }
   }
-  if (fs::exists(PathFor(name, ArchiveFormat::kJson), ec)) {
-    return ArchiveFormat::kJson;
-  }
+  return Status::OK();
+}
+
+Status ArchiveRepository::MissingBody(const std::string& name) const {
+  GRANULA_RETURN_IF_ERROR(CheckNotLegacy(LoadIndex()));
   return Status::NotFound(
       StrFormat("no archive %s in %s", name.c_str(), directory_.c_str()));
+}
+
+Result<MappedFile> ArchiveRepository::OpenBody(const std::string& name) const {
+  g_body_reads.fetch_add(1, std::memory_order_relaxed);
+  const std::string path = PathFor(name);
+  GRANULA_RETURN_IF_ERROR(RunFaultHook("read", path));
+  Result<MappedFile> file = MappedFile::Open(path);
+  if (!file.ok() && file.status().code() == StatusCode::kNotFound) {
+    return MissingBody(name);
+  }
+  return file;
 }
 
 Status ArchiveRepository::WriteAtomic(const std::string& path,
@@ -223,23 +224,9 @@ Status ArchiveRepository::WriteAtomic(const std::string& path,
 #endif
 }
 
-Result<PerformanceArchive> ArchiveRepository::LoadBody(
-    const std::string& name, ArchiveFormat format, int levels) const {
-  g_body_reads.fetch_add(1, std::memory_order_relaxed);
-  const std::string path = PathFor(name, format);
-  GRANULA_RETURN_IF_ERROR(RunFaultHook("read", path));
-  GRANULA_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-  if (format == ArchiveFormat::kGba) {
-    GRANULA_ASSIGN_OR_RETURN(ArchiveView view, ArchiveView::Open(file.data()));
-    return view.Decode(levels);
-  }
-  // JSON has no partial-parse path; `levels` intentionally ignored.
-  return PerformanceArchive::FromJsonString(file.data());
-}
-
 ArchiveRepository::Entry ArchiveRepository::MakeEntry(
     const std::string& name, const PerformanceArchive& archive,
-    ArchiveFormat format, int64_t saved) const {
+    int64_t saved) const {
   Entry entry;
   entry.name = name;
   auto platform_it = archive.job_metadata.find("platform");
@@ -256,7 +243,6 @@ ArchiveRepository::Entry ArchiveRepository::MakeEntry(
   }
   entry.operations = archive.OperationCount();
   entry.saved_unix_seconds = saved;
-  entry.format = format;
   return entry;
 }
 
@@ -281,8 +267,10 @@ std::map<std::string, ArchiveRepository::Entry> ArchiveRepository::LoadIndex()
     entry.total_seconds = j.GetDouble("total_s");
     entry.operations = static_cast<uint64_t>(j.GetInt("ops"));
     entry.saved_unix_seconds = j.GetInt("saved");
-    auto format = ParseArchiveFormat(j.GetString("format", "json"));
-    entry.format = format.ok() ? *format : ArchiveFormat::kJson;
+    // Entries written before the "format" key existed had JSON bodies.
+    entry.format = j.GetString("format", "json") == "gba"
+                       ? ArchiveFormat::kGba
+                       : ArchiveFormat::kJson;
     entries.emplace(name, std::move(entry));
   }
   return entries;
@@ -308,14 +296,14 @@ Status ArchiveRepository::StoreIndex(
   return WriteAtomic(IndexPath(), root.Dump(2) + "\n");
 }
 
-Result<std::map<std::string, ArchiveFormat>> ArchiveRepository::ScanDisk()
-    const {
+Result<std::set<std::string>> ArchiveRepository::ScanDisk(
+    std::string_view extension) const {
   std::error_code ec;
   if (!fs::is_directory(directory_, ec)) {
     return Status::NotFound(
         StrFormat("no repository at %s", directory_.c_str()));
   }
-  std::map<std::string, ArchiveFormat> disk;
+  std::set<std::string> disk;
   fs::directory_iterator it(directory_, ec);
   if (ec) {
     return Status::IoError(StrFormat("cannot list %s: %s",
@@ -329,33 +317,30 @@ Result<std::map<std::string, ArchiveFormat>> ArchiveRepository::ScanDisk()
                                        ec.message().c_str()));
     }
     const fs::path& path = it->path();
-    const std::string stem = path.stem().string();
-    if (stem == kIndexStem) continue;
-    if (path.extension() == ".gba") {
-      disk[stem] = ArchiveFormat::kGba;  // .gba always wins over .json
-    } else if (path.extension() == ".json") {
-      disk.emplace(stem, ArchiveFormat::kJson);
+    std::string stem = path.stem().string();
+    if (path.extension() == extension && stem != kIndexStem) {
+      disk.insert(std::move(stem));
     }
   }
   return disk;
 }
 
 std::vector<ArchiveRepository::Entry> ArchiveRepository::Rebuild(
-    const std::map<std::string, ArchiveFormat>& disk,
+    const std::set<std::string>& disk,
     std::map<std::string, Entry> cached) const {
   std::vector<Entry> entries;
   std::map<std::string, Entry> rebuilt;
-  for (const auto& [name, format] : disk) {
+  for (const std::string& name : disk) {
     auto cached_it = cached.find(name);
-    if (cached_it != cached.end() && cached_it->second.format == format) {
+    if (cached_it != cached.end()) {
       entries.push_back(cached_it->second);
       rebuilt.emplace(name, std::move(cached_it->second));
       continue;
     }
-    auto archive = LoadBody(name, format, 0);
+    auto archive = Load(name);
     if (!archive.ok()) continue;  // foreign or corrupt file: skip
-    Entry entry = MakeEntry(name, *archive, format,
-                            FileMtimeUnixSeconds(PathFor(name, format)));
+    Entry entry =
+        MakeEntry(name, *archive, FileMtimeUnixSeconds(PathFor(name)));
     entries.push_back(entry);
     rebuilt.emplace(name, std::move(entry));
   }
@@ -367,27 +352,19 @@ std::vector<ArchiveRepository::Entry> ArchiveRepository::Rebuild(
 
 Result<std::vector<ArchiveRepository::Entry>> ArchiveRepository::List()
     const {
-  GRANULA_ASSIGN_OR_RETURN(auto disk, ScanDisk());
+  GRANULA_ASSIGN_OR_RETURN(std::set<std::string> disk, ScanDisk(".gba"));
   std::map<std::string, Entry> cached = LoadIndex();
-  bool consistent = cached.size() == disk.size();
-  if (consistent) {
-    for (const auto& [name, format] : disk) {
-      auto it = cached.find(name);
-      if (it == cached.end() || it->second.format != format) {
-        consistent = false;
-        break;
-      }
-    }
-  }
+  GRANULA_RETURN_IF_ERROR(CheckNotLegacy(cached));
+  // Both sides are name-sorted, so the result is too.
+  const bool consistent = std::equal(
+      disk.begin(), disk.end(), cached.begin(), cached.end(),
+      [](const std::string& name, const auto& indexed) {
+        return name == indexed.first;
+      });
+  if (!consistent) return Rebuild(disk, std::move(cached));
   std::vector<Entry> entries;
-  if (consistent) {
-    entries.reserve(cached.size());
-    for (auto& [name, entry] : cached) entries.push_back(std::move(entry));
-  } else {
-    entries = Rebuild(disk, std::move(cached));
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.name < b.name; });
+  entries.reserve(cached.size());
+  for (auto& [name, entry] : cached) entries.push_back(std::move(entry));
   return entries;
 }
 
@@ -417,14 +394,6 @@ Result<std::vector<ArchiveRepository::Entry>> ArchiveRepository::Select(
   return matched;
 }
 
-void ArchiveRepository::UpdateIndex(const std::vector<Entry>& updates) const {
-  std::map<std::string, Entry> cached = LoadIndex();
-  for (const Entry& entry : updates) cached[entry.name] = entry;
-  // Best-effort: the index is derivable from the bodies, so a failure here
-  // only costs a rebuild on the next List().
-  (void)StoreIndex(cached);
-}
-
 std::string ArchiveRepository::AutoName(
     const PerformanceArchive& archive,
     std::vector<std::string>* taken) {
@@ -449,8 +418,8 @@ std::string ArchiveRepository::AutoName(
     }
     max_index = std::max(max_index, std::atoi(digits.c_str()));
   };
-  if (auto disk = ScanDisk(); disk.ok()) {
-    for (const auto& [name, format] : *disk) consider(name);
+  if (auto disk = ScanDisk(".gba"); disk.ok()) {
+    for (const std::string& name : *disk) consider(name);
   }
   for (const std::string& name : *taken) consider(name);
   // Removed archives leave no file behind; the high-water mark keeps
@@ -474,19 +443,7 @@ Result<std::string> ArchiveRepository::Save(
     std::vector<std::string> taken;
     name = AutoName(archive, &taken);
   }
-  const ArchiveFormat format = write_format_;
-  const int64_t saved = NowUnixSeconds();
-  GRANULA_RETURN_IF_ERROR(
-      WriteAtomic(PathFor(name, format), EncodeBody(archive, format)));
-  // Drop a stale sibling in the other format so Load() (which prefers
-  // .gba) can never resolve to an older body under the same name.
-  const ArchiveFormat other = format == ArchiveFormat::kGba
-                                  ? ArchiveFormat::kJson
-                                  : ArchiveFormat::kGba;
-  std::error_code ignored;
-  fs::remove(PathFor(name, other), ignored);
-  CacheInvalidate(name);
-  UpdateIndex({MakeEntry(name, archive, format, saved)});
+  GRANULA_RETURN_IF_ERROR(WriteBodies({name}, {&archive}, 1));
   return name;
 }
 
@@ -504,80 +461,81 @@ Result<std::vector<std::string>> ArchiveRepository::SaveAll(
     }
     names[i] = AutoName(*archives[i], &taken);
   }
+  GRANULA_RETURN_IF_ERROR(WriteBodies(names, archives, num_threads));
+  return names;
+}
 
-  const ArchiveFormat format = write_format_;
+Status ArchiveRepository::WriteBodies(
+    const std::vector<std::string>& names,
+    const std::vector<const PerformanceArchive*>& archives, int num_threads) {
+  std::map<std::string, Entry> index = LoadIndex();
+  GRANULA_RETURN_IF_ERROR(CheckNotLegacy(index));
   const int64_t saved = NowUnixSeconds();
+  std::vector<Entry> entries;
+  entries.reserve(archives.size());
+  bool drop = false;
+  for (size_t i = 0; i < archives.size(); ++i) {
+    entries.push_back(MakeEntry(names[i], *archives[i], saved));
+    auto it = index.find(names[i]);
+    if (it != index.end() && !SameListing(it->second, entries.back())) {
+      index.erase(it);
+      drop = true;
+    }
+  }
+  // Unlike the final index write, this one must land: it is what keeps a
+  // crash after the body rename from listing the old metadata.
+  if (drop) GRANULA_RETURN_IF_ERROR(StoreIndex(index));
+
   unsigned workers = num_threads > 0
                          ? static_cast<unsigned>(num_threads)
                          : std::max(1u, std::thread::hardware_concurrency());
   workers = std::min<unsigned>(
       workers, std::max<size_t>(archives.size(), size_t{1}));
-
   std::vector<Status> statuses(archives.size());
   std::atomic<size_t> next{0};
   auto worker = [&] {
     for (size_t i = next.fetch_add(1); i < archives.size();
          i = next.fetch_add(1)) {
-      statuses[i] = WriteAtomic(PathFor(names[i], format),
-                                EncodeBody(*archives[i], format));
+      statuses[i] = WriteAtomic(PathFor(names[i]), EncodeGba(*archives[i]));
     }
   };
+  // The calling thread is one of the workers, so Save() spawns none.
   std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
+  for (unsigned t = 1; t < workers; ++t) pool.emplace_back(worker);
+  worker();
   for (std::thread& t : pool) t.join();
 
   // Index the writes that landed even when some failed: the index must
-  // mirror the directory, not the batch's intent.
-  std::vector<Entry> landed;
+  // mirror the directory, not the batch's intent. Best-effort: the index
+  // is derivable from the bodies, so a failure here only costs a rebuild
+  // on the next List().
+  bool landed = false;
   for (size_t i = 0; i < archives.size(); ++i) {
     if (!statuses[i].ok()) continue;
     CacheInvalidate(names[i]);
-    landed.push_back(MakeEntry(names[i], *archives[i], format, saved));
+    index[names[i]] = std::move(entries[i]);
+    landed = true;
   }
-  if (!landed.empty()) UpdateIndex(landed);
+  if (landed) (void)StoreIndex(index);
 
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
   }
-  return names;
+  return Status::OK();
 }
 
 Result<PerformanceArchive> ArchiveRepository::Load(const std::string& name,
                                                   int levels) const {
-  GRANULA_ASSIGN_OR_RETURN(ArchiveFormat format, DiskFormat(name));
-  return LoadBody(name, format, levels);
+  GRANULA_ASSIGN_OR_RETURN(MappedFile file, OpenBody(name));
+  GRANULA_ASSIGN_OR_RETURN(ArchiveView view, ArchiveView::Open(file.data()));
+  return view.Decode(levels);
 }
 
 ArchiveRepository::ViewScanStats ArchiveRepository::ScanStats() {
   ViewScanStats stats;
   stats.archives_scanned = g_scan_archives.load(std::memory_order_relaxed);
   stats.bytes_mapped = g_scan_bytes.load(std::memory_order_relaxed);
-  stats.fallbacks = g_scan_fallbacks.load(std::memory_order_relaxed);
   return stats;
-}
-
-Status ArchiveRepository::ScanBody(
-    const std::string& name, ArchiveFormat format,
-    const std::function<Status(const ArchiveView&)>& fn) const {
-  g_body_reads.fetch_add(1, std::memory_order_relaxed);
-  const std::string path = PathFor(name, format);
-  GRANULA_RETURN_IF_ERROR(RunFaultHook("read", path));
-  GRANULA_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-  g_scan_archives.fetch_add(1, std::memory_order_relaxed);
-  g_scan_bytes.fetch_add(file.data().size(), std::memory_order_relaxed);
-  if (format == ArchiveFormat::kGba) {
-    GRANULA_ASSIGN_OR_RETURN(ArchiveView view, ArchiveView::Open(file.data()));
-    return fn(view);
-  }
-  // JSON fallback: materialize once, re-encode to in-memory GBA, and view
-  // that — the callback stays format-agnostic.
-  g_scan_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  GRANULA_ASSIGN_OR_RETURN(PerformanceArchive archive,
-                           PerformanceArchive::FromJsonString(file.data()));
-  const std::string encoded = EncodeGba(archive);
-  GRANULA_ASSIGN_OR_RETURN(ArchiveView view, ArchiveView::Open(encoded));
-  return fn(view);
 }
 
 Status ArchiveRepository::ScanEntries(const std::vector<Entry>& entries,
@@ -592,9 +550,8 @@ Status ArchiveRepository::ScanEntries(const std::vector<Entry>& entries,
               [&](uint64_t /*chunk*/, uint64_t begin, uint64_t end) {
                 for (uint64_t i = begin; i < end && i < entries.size(); ++i) {
                   const Entry& entry = entries[i];
-                  statuses[i] = ScanBody(
-                      entry.name, entry.format,
-                      [&](const ArchiveView& view) {
+                  statuses[i] = ScanArchive(
+                      entry.name, [&](const ArchiveView& view) {
                         return fn(static_cast<size_t>(i), entry, view);
                       });
                 }
@@ -619,8 +576,11 @@ Status ArchiveRepository::ScanSelect(const Query& query,
 Status ArchiveRepository::ScanArchive(
     const std::string& name,
     const std::function<Status(const ArchiveView&)>& fn) const {
-  GRANULA_ASSIGN_OR_RETURN(ArchiveFormat format, DiskFormat(name));
-  return ScanBody(name, format, fn);
+  GRANULA_ASSIGN_OR_RETURN(MappedFile file, OpenBody(name));
+  g_scan_archives.fetch_add(1, std::memory_order_relaxed);
+  g_scan_bytes.fetch_add(file.data().size(), std::memory_order_relaxed);
+  GRANULA_ASSIGN_OR_RETURN(ArchiveView view, ArchiveView::Open(file.data()));
+  return fn(view);
 }
 
 Result<std::shared_ptr<const ArchivedOperation>>
@@ -642,26 +602,10 @@ ArchiveRepository::FetchSubtree(const std::string& name,
 
   // Disk decode runs unlocked so a cold fetch never stalls concurrent
   // hits on other keys.
-  GRANULA_ASSIGN_OR_RETURN(ArchiveFormat format, DiskFormat(name));
-  g_body_reads.fetch_add(1, std::memory_order_relaxed);
-  GRANULA_RETURN_IF_ERROR(RunFaultHook("read", PathFor(name, format)));
-  GRANULA_ASSIGN_OR_RETURN(MappedFile file,
-                           MappedFile::Open(PathFor(name, format)));
-  std::shared_ptr<const ArchivedOperation> subtree;
-  if (format == ArchiveFormat::kGba) {
-    GRANULA_ASSIGN_OR_RETURN(ArchiveView view, ArchiveView::Open(file.data()));
-    GRANULA_ASSIGN_OR_RETURN(auto decoded, view.DecodeSubtree(path));
-    subtree = std::move(decoded);
-  } else {
-    GRANULA_ASSIGN_OR_RETURN(PerformanceArchive archive,
-                             PerformanceArchive::FromJsonString(file.data()));
-    const ArchivedOperation* found = archive.FindByPath(path);
-    if (found == nullptr) {
-      return Status::NotFound(
-          StrFormat("no operation at path '%s'", path.c_str()));
-    }
-    subtree = found->Clone();
-  }
+  GRANULA_ASSIGN_OR_RETURN(MappedFile file, OpenBody(name));
+  GRANULA_ASSIGN_OR_RETURN(ArchiveView view, ArchiveView::Open(file.data()));
+  GRANULA_ASSIGN_OR_RETURN(std::shared_ptr<const ArchivedOperation> subtree,
+                           view.DecodeSubtree(path));
 
   std::lock_guard<std::mutex> lock(cache_mu_);
   if (cache_capacity_ > 0) {
@@ -713,47 +657,53 @@ void ArchiveRepository::CacheInvalidate(const std::string& name) {
   }
 }
 
-Result<ArchiveRepository::PackStats> ArchiveRepository::Pack(
-    ArchiveFormat format) {
-  GRANULA_ASSIGN_OR_RETURN(auto disk, ScanDisk());
-  std::map<std::string, Entry> cached = LoadIndex();
+Result<ArchiveRepository::PackStats> ArchiveRepository::Pack() {
+  GRANULA_ASSIGN_OR_RETURN(std::set<std::string> legacy, ScanDisk(".json"));
+  GRANULA_ASSIGN_OR_RETURN(std::set<std::string> packed, ScanDisk(".gba"));
+  std::map<std::string, Entry> index = LoadIndex();
   PackStats stats;
-  for (const auto& [name, on_disk] : disk) {
-    if (on_disk == format) {
-      ++stats.skipped;
-      continue;
+  stats.skipped = packed.size();
+  for (const std::string& name : legacy) {
+    const std::string json_path = directory_ + "/" + name + ".json";
+    GRANULA_RETURN_IF_ERROR(RunFaultHook("read", json_path));
+    GRANULA_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(json_path));
+    Result<PerformanceArchive> archive =
+        PerformanceArchive::FromJsonString(file.data());
+    const bool superseded = packed.count(name) > 0;
+    if (!archive.ok()) {
+      if (index.count(name) > 0 && !superseded) {
+        return Status::Corruption(StrFormat("cannot import %s: %s",
+                                            json_path.c_str(),
+                                            archive.status().ToString().c_str()));
+      }
+      continue;  // foreign file
     }
-    GRANULA_ASSIGN_OR_RETURN(PerformanceArchive archive,
-                             LoadBody(name, on_disk, 0));
-    const std::string old_path = PathFor(name, on_disk);
-    const std::string payload = EncodeBody(archive, format);
-    GRANULA_RETURN_IF_ERROR(WriteAtomic(PathFor(name, format), payload));
-    stats.bytes_before += FileSizeOrZero(old_path);
-    stats.bytes_after += payload.size();
+    if (!superseded) {
+      const std::string payload = EncodeGba(*archive);
+      GRANULA_RETURN_IF_ERROR(WriteAtomic(PathFor(name), payload));
+      CacheInvalidate(name);
+      auto it = index.find(name);
+      const int64_t saved = it != index.end() ? it->second.saved_unix_seconds
+                                              : FileMtimeUnixSeconds(json_path);
+      index[name] = MakeEntry(name, *archive, saved);
+      stats.bytes_before += file.data().size();
+      stats.bytes_after += payload.size();
+      ++stats.converted;
+    }
     std::error_code ignored;
-    fs::remove(old_path, ignored);
-    CacheInvalidate(name);
-    int64_t saved = FileMtimeUnixSeconds(PathFor(name, format));
-    if (auto it = cached.find(name); it != cached.end()) {
-      saved = it->second.saved_unix_seconds;  // conversion keeps save time
-    }
-    cached[name] = MakeEntry(name, archive, format, saved);
-    ++stats.converted;
+    fs::remove(json_path, ignored);
   }
-  (void)StoreIndex(cached);
+  // Entries a pack interrupted before its index write still carry the
+  // legacy mark; their bodies are GBA by now, or gone (List() drops those).
+  for (auto& [name, entry] : index) entry.format = ArchiveFormat::kGba;
+  GRANULA_RETURN_IF_ERROR(StoreIndex(index));
+  GRANULA_RETURN_IF_ERROR(List().status());
   return stats;
 }
 
 Status ArchiveRepository::Remove(const std::string& name) {
   std::error_code ec;
-  bool removed = fs::remove(PathFor(name, ArchiveFormat::kGba), ec) && !ec;
-  ec.clear();
-  removed = (fs::remove(PathFor(name, ArchiveFormat::kJson), ec) && !ec) ||
-            removed;
-  if (!removed) {
-    return Status::NotFound(
-        StrFormat("no archive %s in %s", name.c_str(), directory_.c_str()));
-  }
+  if (!fs::remove(PathFor(name), ec) || ec) return MissingBody(name);
   CacheInvalidate(name);
   std::map<std::string, Entry> cached = LoadIndex();
   if (cached.erase(name) > 0) (void)StoreIndex(cached);

@@ -1,29 +1,33 @@
 #ifndef GRANULA_GRANULA_ARCHIVE_REPOSITORY_H_
 #define GRANULA_GRANULA_ARCHIVE_REPOSITORY_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/mapped_file.h"
 #include "common/result.h"
 #include "granula/archive/archive.h"
 #include "granula/archive/view.h"
 
 namespace granula::core {
 
-// On-disk encoding of one archive file. JSON is the interchange format —
-// human-readable, diff-able, lint-able; GBA (granula/archive/gba.h) is the
-// compact binary twin a repository serves queries from.
+// Encoding of an archive body. GBA (granula/archive/gba.h) is the only
+// body format a repository writes and reads; JSON is the interchange
+// format of single archive files (`run --archive-out`, `query --name`,
+// `analyze --archive`) and of repositories written by older granula
+// versions, which Pack() imports once.
 enum class ArchiveFormat { kJson, kGba };
 
 std::string_view ArchiveFormatName(ArchiveFormat format);  // "json" / "gba"
-Result<ArchiveFormat> ParseArchiveFormat(std::string_view name);
 
 // A directory of performance archives — the sharing mechanism behind
 // requirement R2 ("sharing performance results for the entire community
@@ -31,20 +35,28 @@ Result<ArchiveFormat> ParseArchiveFormat(std::string_view name);
 // list, query, reload, re-visualize, and diff without re-running
 // experiments.
 //
-// Layout: <directory>/<name>.json or <name>.gba, where auto-generated
-// names are "<platform>-<algorithm>-<NNN>" with NNN one past the highest
-// index already on disk (never reusing a previously assigned name, even
-// after deletions — names act as stable experiment ids). A persisted
-// index file, <directory>/index.json, carries every entry List() and
-// Query() need, so metadata queries never open archive bodies; the name
-// "index" is reserved.
+// Layout: <directory>/<name>.gba, where auto-generated names are
+// "<platform>-<algorithm>-<NNN>" with NNN one past the highest index
+// already on disk (never reusing a previously assigned name, even after
+// deletions — names act as stable experiment ids). A persisted index file,
+// <directory>/index.json, carries every entry List() and Query() need, so
+// metadata queries never open archive bodies; the name "index" is
+// reserved. Other files (including *.json) are foreign and skipped.
 //
-// Durability: every save writes <name>.<ext>.tmp, fsyncs it, and renames
-// it into place, so a crash or full disk mid-write never leaves a
-// truncated archive visible to List()/Load(). The index is rewritten the
-// same way after the body is durable; since the index can always be
-// rebuilt from the archive files, a crash between the two writes loses
-// nothing.
+// Legacy directories: older versions wrote <name>.json bodies and marked
+// their index entries "format": "json". While the index lists such an
+// entry, every operation except Pack() fails with FailedPrecondition
+// naming `granula pack` — List/Select/Scan*/Save/SaveAll always, and
+// Load/FetchSubtree/ScanArchive/Remove when the named GBA body is absent.
+// Opening never converts: serve roots and CI baselines are read-only.
+//
+// Durability: every save writes <name>.gba.tmp, fsyncs it, and renames it
+// into place, so a crash or full disk mid-write never leaves a truncated
+// archive visible to List()/Load(). The index is rewritten the same way
+// after the body is durable; since the index can always be rebuilt from
+// the archive files, a crash between the two writes loses nothing. An
+// overwrite whose index entry would change first drops that entry, so
+// the crash window never lists stale metadata.
 class ArchiveRepository {
  public:
   explicit ArchiveRepository(std::string directory)
@@ -55,10 +67,12 @@ class ArchiveRepository {
   // Creates the directory if needed.
   Status Init();
 
-  // Format used for new Save()/SaveAll() bodies. Defaults to kJson (the
-  // interchange format); `granula pack` converts a repository wholesale.
-  ArchiveFormat write_format() const { return write_format_; }
-  void set_write_format(ArchiveFormat format) { write_format_ = format; }
+  // Bodies are always GBA. Kept for source compatibility; accepts only
+  // kGba.
+  void set_write_format(ArchiveFormat format) {
+    assert(format == ArchiveFormat::kGba);
+    (void)format;
+  }
 
   // Saves under an auto-generated (or explicit) name; returns the name.
   // The body write is fsync'd before the rename, and the index entry is
@@ -86,7 +100,8 @@ class ArchiveRepository {
     double total_seconds = 0;
     uint64_t operations = 0;
     int64_t saved_unix_seconds = 0;
-    ArchiveFormat format = ArchiveFormat::kJson;
+    // kGba for every listed entry; kJson only marks a legacy index entry.
+    ArchiveFormat format = ArchiveFormat::kGba;
   };
 
   // All archives in the repository, sorted by name. Served from the
@@ -115,19 +130,17 @@ class ArchiveRepository {
   };
   Result<std::vector<Entry>> Select(const Query& query) const;
 
-  // Loads an archive. Prefers <name>.gba, falls back to <name>.json.
-  // `levels` > 0 cuts the operation tree to its first `levels` levels
-  // (root = level 1): for GBA bodies the rows below the cut are never
+  // Loads an archive. `levels` > 0 cuts the operation tree to its first
+  // `levels` levels (root = level 1); the rows below the cut are never
   // materialised — serve's `?depth=` and `granula query --findings` read
-  // this way. JSON bodies are always parsed in full.
+  // this way. Counts toward BodyReadCount().
   Result<PerformanceArchive> Load(const std::string& name,
                                   int levels = 0) const;
 
   // Decodes one operation subtree (FindByPath semantics) through an LRU
-  // cache of hot subtrees. For GBA bodies only the subtree's rows are
-  // decoded from the mapped file. The returned pointer stays valid after
-  // eviction (shared ownership). NotFound when the archive or path does
-  // not exist.
+  // cache of hot subtrees. Only the subtree's rows are decoded from the
+  // mapped file. The returned pointer stays valid after eviction (shared
+  // ownership). NotFound when the archive or path does not exist.
   //
   // Safe to call from concurrent readers (the serve daemon's workers all
   // share one repository): the cache and its stats are mutex-guarded, and
@@ -140,10 +153,8 @@ class ArchiveRepository {
   // ---- zero-copy batch scans -----------------------------------------
   //
   // The analysis fast path: run a callback over an ArchiveView of every
-  // matching archive without materializing a single PerformanceArchive.
-  // GBA bodies are mmap'd and viewed in place; JSON bodies transparently
-  // fall back to parse + in-memory GBA re-encode (counted in ScanStats),
-  // so callers see one format-agnostic interface.
+  // matching archive without materializing a single PerformanceArchive:
+  // bodies are mmap'd and viewed in place.
   //
   // ScanAll/ScanSelect run the callbacks as one ParallelFor job on the
   // process-wide host pool. Determinism contract: archives are indexed in
@@ -163,8 +174,9 @@ class ArchiveRepository {
                      const std::function<Status(const ArchiveView&)>& fn) const;
 
   // Process-wide view-scan counters, mirroring BodyReadCount(): archives
-  // opened through the scan path, bytes mapped for them, and how many fell
-  // back to the materializing JSON path. Served at /stats.
+  // opened through the scan path and bytes mapped for them. Served at
+  // /stats. `fallbacks` is always 0 (no body is re-encoded any more); it is
+  // kept for source compatibility.
   struct ViewScanStats {
     uint64_t archives_scanned = 0;
     uint64_t bytes_mapped = 0;
@@ -183,17 +195,21 @@ class ArchiveRepository {
   // Maximum cached subtrees (default 64). 0 disables caching.
   void set_cache_capacity(size_t capacity);
 
-  // Converts every archive body to `format` (bodies already there are
-  // untouched), updating the index. Conversion is atomic per archive:
-  // the new body is fsync-renamed into place before the old one is
-  // removed.
+  // One-way import of a legacy directory: converts every <name>.json
+  // archive body to <name>.gba and rewrites the index without legacy
+  // marks. Conversion is atomic per archive: the GBA body is fsync-renamed
+  // into place before the JSON one is removed, and a JSON body with a GBA
+  // sibling (a newer save, or an interrupted pack) is just removed. So an
+  // interrupted Pack() finishes when run again. *.json files that do not
+  // parse as archives are foreign and left alone, unless the index lists
+  // them; that fails the pack. Saved times are kept.
   struct PackStats {
     size_t converted = 0;
-    size_t skipped = 0;  // already in the target format
-    uint64_t bytes_before = 0;  // total size of converted bodies
+    size_t skipped = 0;  // bodies that were already GBA
+    uint64_t bytes_before = 0;  // total size of converted JSON bodies
     uint64_t bytes_after = 0;
   };
-  Result<PackStats> Pack(ArchiveFormat format);
+  Result<PackStats> Pack();
 
   Status Remove(const std::string& name);
 
@@ -213,50 +229,48 @@ class ArchiveRepository {
   static void SetWallClockForTest(int64_t (*now_unix_seconds)());
 
  private:
-  std::string PathFor(const std::string& name, ArchiveFormat format) const;
+  std::string PathFor(const std::string& name) const;  // <name>.gba
   std::string IndexPath() const;
-
-  // Format of the body actually on disk for `name` (.gba preferred).
-  Result<ArchiveFormat> DiskFormat(const std::string& name) const;
 
   // Serializes `payload` to <path>.tmp, fsyncs, then renames into place.
   Status WriteAtomic(const std::string& path,
                      const std::string& payload) const;
 
-  // Reads + decodes one archive body (full or level-cut). Counts toward
-  // BodyReadCount().
-  Result<PerformanceArchive> LoadBody(const std::string& name,
-                                      ArchiveFormat format, int levels) const;
+  // Maps the GBA body of `name`. Counts toward BodyReadCount(). A missing
+  // body is NotFound, or FailedPrecondition in a legacy directory.
+  Result<MappedFile> OpenBody(const std::string& name) const;
+  Status MissingBody(const std::string& name) const;
+  // FailedPrecondition naming `granula pack` when `index` lists a JSON
+  // body.
+  Status CheckNotLegacy(const std::map<std::string, Entry>& index) const;
 
-  // Opens one body as an ArchiveView (JSON fallback included) and runs
-  // `fn` over it. Counts toward BodyReadCount() and ScanStats().
-  Status ScanBody(const std::string& name, ArchiveFormat format,
-                  const std::function<Status(const ArchiveView&)>& fn) const;
   // Fans `fn` out over `entries` on the host pool (see ScanAll).
   Status ScanEntries(const std::vector<Entry>& entries,
                      const ScanFn& fn) const;
 
   // Builds the index entry for an in-memory archive (no I/O).
   Entry MakeEntry(const std::string& name, const PerformanceArchive& archive,
-                  ArchiveFormat format, int64_t saved) const;
+                  int64_t saved) const;
 
   // Index persistence. LoadIndex returns entries keyed by name; a missing
   // or unreadable index reads as empty.
   std::map<std::string, Entry> LoadIndex() const;
   Status StoreIndex(const std::map<std::string, Entry>& entries) const;
 
-  // Names of archive files on disk (stems of *.json / *.gba, "index"
-  // excluded) with their preferred format.
-  Result<std::map<std::string, ArchiveFormat>> ScanDisk() const;
+  // Stems of the files on disk with `extension` ("index" excluded).
+  Result<std::set<std::string>> ScanDisk(std::string_view extension) const;
 
   // Rebuilds index entries for `disk`, reusing `cached` where the name is
   // already present, and persists the result best-effort.
-  std::vector<Entry> Rebuild(const std::map<std::string, ArchiveFormat>& disk,
+  std::vector<Entry> Rebuild(const std::set<std::string>& disk,
                              std::map<std::string, Entry> cached) const;
 
-  // Merges `updates` into the persisted index (best-effort; the index is
-  // reconstructible, so failures here never fail the save).
-  void UpdateIndex(const std::vector<Entry>& updates) const;
+  // Encodes and writes one body per archive on up to `num_threads`
+  // threads, then indexes the bodies that landed (best-effort: the index
+  // is reconstructible). Returns the first write error.
+  Status WriteBodies(const std::vector<std::string>& names,
+                     const std::vector<const PerformanceArchive*>& archives,
+                     int num_threads);
 
   // Auto-name for `archive`: "<platform>-<algorithm>-<NNN>". `taken` keeps
   // names unique within one batch before anything reaches the disk.
@@ -266,7 +280,6 @@ class ArchiveRepository {
   void CacheInvalidate(const std::string& name);
 
   std::string directory_;
-  ArchiveFormat write_format_ = ArchiveFormat::kJson;
   // Highest auto-index handed out per prefix. The disk scan alone would
   // forget an index once its file is Remove()d; this keeps names
   // monotonically increasing for the repository's lifetime.

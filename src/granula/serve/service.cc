@@ -479,7 +479,6 @@ HttpResponse ArchiveService::GetStats() {
   Json scan_json = Json::MakeObject();
   scan_json["archives_scanned"] = scan.archives_scanned;
   scan_json["bytes_mapped"] = scan.bytes_mapped;
-  scan_json["fallbacks"] = scan.fallbacks;
   body["view_scan"] = std::move(scan_json);
 
   body["body_reads"] = ArchiveRepository::BodyReadCount();

@@ -1,6 +1,5 @@
 // The repository scan pipeline's promises: (1) ScanAll/ScanSelect hand a
-// zero-copy ArchiveView of every matching archive to the callback, JSON
-// bodies transparently falling back to an in-memory GBA re-encode; (2)
+// zero-copy ArchiveView of every matching archive to the callback; (2)
 // output assembled in index order is byte-identical at any
 // GRANULA_HOST_THREADS — including the comparative report and the
 // regression gate, which must match a reference built from fully Loaded
@@ -87,22 +86,20 @@ std::string FreshDir(const std::string& name) {
 }
 
 void SaveAs(ArchiveRepository& repo, const PerformanceArchive& archive,
-            const std::string& name, ArchiveFormat format) {
-  repo.set_write_format(format);
+            const std::string& name) {
   auto saved = repo.Save(archive, name);
   ASSERT_TRUE(saved.ok()) << saved.status();
 }
 
-// A mixed-format sweep repository: two GBA bodies, one JSON body (the
-// fallback path), across two platforms and two graph scales.
+// A sweep repository of three archives across two platforms and two graph
+// scales.
 void FillSweepRepo(ArchiveRepository& repo, double base_seconds) {
   ASSERT_TRUE(repo.Init().ok());
-  SaveAs(repo, MakeArchive("Alpha", "bfs", "g1", 1000, base_seconds), "a-bfs",
-         ArchiveFormat::kGba);
+  SaveAs(repo, MakeArchive("Alpha", "bfs", "g1", 1000, base_seconds), "a-bfs");
   SaveAs(repo, MakeArchive("Beta", "bfs", "g1", 1000, base_seconds * 1.5),
-         "b-bfs", ArchiveFormat::kJson);
+         "b-bfs");
   SaveAs(repo, MakeArchive("Alpha", "bfs", "g2", 4000, base_seconds * 3.0),
-         "c-bfs-large", ArchiveFormat::kGba);
+         "c-bfs-large");
 }
 
 // ---------------------------------------------------- scan basics --------
@@ -129,15 +126,13 @@ TEST(ArchiveScanTest, ScanAllVisitsEveryArchiveInIndexOrderAndCounts) {
   EXPECT_EQ(seen[0].first, "a-bfs");
   EXPECT_EQ(seen[1].first, "b-bfs");
   EXPECT_EQ(seen[2].first, "c-bfs-large");
-  // Root + LoadGraph + ProcessGraph + 4 supersteps, regardless of format.
+  // Root + LoadGraph + ProcessGraph + 4 supersteps.
   for (const auto& [index, entry] : seen) {
     EXPECT_EQ(entry.second, 7u) << entry.first;
   }
 
   const ArchiveRepository::ViewScanStats after = ArchiveRepository::ScanStats();
   EXPECT_EQ(after.archives_scanned - before.archives_scanned, 3u);
-  // Exactly one body (b-bfs) is JSON and had to re-encode in memory.
-  EXPECT_EQ(after.fallbacks - before.fallbacks, 1u);
   EXPECT_GT(after.bytes_mapped, before.bytes_mapped);
 }
 
@@ -286,23 +281,17 @@ TEST(ArchiveScanTest, RegressionGateMatchesMaterializePathByteForByte) {
   std::string base_dir = FreshDir("gate_base");
   ArchiveRepository baseline(base_dir);
   ASSERT_TRUE(baseline.Init().ok());
-  SaveAs(baseline, MakeArchive("Alpha", "bfs", "g1", 1000, 1.0), "a-bfs",
-         ArchiveFormat::kGba);
-  SaveAs(baseline, MakeArchive("Beta", "bfs", "g1", 1000, 1.5), "b-bfs",
-         ArchiveFormat::kGba);
-  SaveAs(baseline, MakeArchive("Alpha", "pr", "g1", 1000, 2.0), "gone",
-         ArchiveFormat::kJson);
+  SaveAs(baseline, MakeArchive("Alpha", "bfs", "g1", 1000, 1.0), "a-bfs");
+  SaveAs(baseline, MakeArchive("Beta", "bfs", "g1", 1000, 1.5), "b-bfs");
+  SaveAs(baseline, MakeArchive("Alpha", "pr", "g1", 1000, 2.0), "gone");
 
   std::string cand_dir = FreshDir("gate_cand");
   ArchiveRepository candidate(cand_dir);
   ASSERT_TRUE(candidate.Init().ok());
   // a-bfs regressed 2x, b-bfs unchanged, "gone" missing, "fresh" added.
-  SaveAs(candidate, MakeArchive("Alpha", "bfs", "g1", 1000, 2.0), "a-bfs",
-         ArchiveFormat::kJson);
-  SaveAs(candidate, MakeArchive("Beta", "bfs", "g1", 1000, 1.5), "b-bfs",
-         ArchiveFormat::kGba);
-  SaveAs(candidate, MakeArchive("Beta", "wcc", "g1", 1000, 1.0), "fresh",
-         ArchiveFormat::kGba);
+  SaveAs(candidate, MakeArchive("Alpha", "bfs", "g1", 1000, 2.0), "a-bfs");
+  SaveAs(candidate, MakeArchive("Beta", "bfs", "g1", 1000, 1.5), "b-bfs");
+  SaveAs(candidate, MakeArchive("Beta", "wcc", "g1", 1000, 1.0), "fresh");
 
   for (int depth : {0, 2, 3}) {
     RegressionOptions options;

@@ -19,6 +19,7 @@
 #include "granula/archive/view.h"
 #include "granula/model/performance_model.h"
 #include "granula/monitor/job_logger.h"
+#include "legacy_repository.h"
 
 namespace granula::cli {
 namespace {
@@ -529,9 +530,10 @@ TEST(CliTest, BenchSweepGateExitCodes) {
   }
 }
 
-TEST(CliTest, PackAndQueryRoundTrip) {
-  // Build a small repository via `run --save-repo`, pack it to binary,
-  // query it by filter / name / subtree path — all exit 0 — and unpack.
+TEST(CliTest, PackImportsLegacyAndQueryExports) {
+  // Build a small repository via `run --save-repo`, rewrite it in the
+  // legacy JSON layout, see it refused until `pack` imports it, then
+  // query it by filter / name / subtree path — all exit 0.
   std::string repo = FreshRepoDir("packquery_repo");
   {
     Capture out("pq_run_out"), err("pq_run_err");
@@ -542,10 +544,24 @@ TEST(CliTest, PackAndQueryRoundTrip) {
         << err.text();
   }
   {
+    auto saved = core::ArchiveRepository(repo).Load("pgxd-BFS-001");
+    ASSERT_TRUE(saved.ok()) << saved.status();
+    std::filesystem::remove_all(repo);
+    core::WriteLegacyRepository(repo, {{"pgxd-BFS-001", &*saved, 100}});
+  }
+  {
+    Capture out("pq_legacy_out"), err("pq_legacy_err");
+    EXPECT_EQ(RunCli({"list", "--repo=" + repo}, &out, &err), kExitFatal);
+    EXPECT_NE(err.text().find("granula pack --repo="), std::string::npos)
+        << err.text();
+  }
+  {
     Capture out("pq_pack_out"), err("pq_pack_err");
     EXPECT_EQ(RunCli({"pack", "--repo=" + repo}, &out, &err), kExitOk)
         << err.text();
-    EXPECT_NE(out.text().find("converted to gba"), std::string::npos);
+    EXPECT_NE(out.text().find("1 archive(s) converted to gba"),
+              std::string::npos)
+        << out.text();
   }
   {
     // Index-only filter query: one matching row, no body opened.
@@ -568,9 +584,11 @@ TEST(CliTest, PackAndQueryRoundTrip) {
     EXPECT_NE(out.text().find("\"mission_type\""), std::string::npos);
   }
   {
+    // JSON leaves a repository only one archive at a time.
     Capture out("pq_unpack_out"), err("pq_unpack_err");
     EXPECT_EQ(RunCli({"pack", "--repo=" + repo, "--to=json"}, &out, &err),
-              kExitOk)
+              kExitUsage);
+    EXPECT_NE(err.text().find("granula query"), std::string::npos)
         << err.text();
   }
 }

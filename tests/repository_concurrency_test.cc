@@ -153,7 +153,6 @@ TEST(RepositoryConcurrencyTest, FetchSubtreeHammer) {
   // (the thread-sanitize CI lane builds this test) to prove the cache is
   // data-race free; the assertions prove LRU bookkeeping stays coherent.
   ArchiveRepository repo(FreshDir("hammer"));
-  repo.set_write_format(ArchiveFormat::kGba);
   std::vector<std::string> names;
   for (int i = 0; i < 3; ++i) {
     auto name = repo.Save(MakeArchive("Giraph", 10 + i));

@@ -3,7 +3,8 @@
 // the process-wide BodyReadCount; (2) every save is fsync + rename, so an
 // injected I/O fault at any stage leaves no truncated archive visible;
 // (3) the LRU subtree cache serves repeat fetches without re-decoding and
-// invalidates on overwrite.
+// invalidates on overwrite; (4) a directory of JSON bodies written by an
+// older granula is refused until `granula pack` imports it.
 
 #include <filesystem>
 #include <fstream>
@@ -13,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include "granula/archive/archiver.h"
+#include "granula/archive/gba.h"
 #include "granula/archive/repository.h"
 #include "granula/model/performance_model.h"
 #include "granula/monitor/job_logger.h"
+#include "legacy_repository.h"
 
 namespace granula::core {
 namespace {
@@ -103,7 +106,8 @@ TEST(RepositoryIndexTest, StaleIndexTriggersRebuildThenServesCheaply) {
   ASSERT_TRUE(repo.Save(MakeArchive("Giraph", "BFS", 10)).ok());
   // Simulate a foreign writer: an archive landed without an index update.
   PerformanceArchive foreign = MakeArchive("Pgxd", "WCC", 5);
-  std::ofstream(dir + "/dropped-in.json") << foreign.ToJsonString();
+  std::ofstream(dir + "/dropped-in.gba", std::ios::binary)
+      << EncodeGba(foreign);
 
   const uint64_t before = ArchiveRepository::BodyReadCount();
   auto entries = repo.List();
@@ -252,7 +256,6 @@ TEST(RepositoryQueryTest, TimeBoundsAreInclusiveAndOrdered) {
 
 TEST(RepositoryCacheTest, HitsMissesAndInvalidation) {
   ArchiveRepository repo(FreshDir("cache"));
-  repo.set_write_format(ArchiveFormat::kGba);
   ASSERT_TRUE(repo.Save(MakeArchive("Giraph", "BFS", 9), "job").ok());
 
   auto first = repo.FetchSubtree("job", "Root/Superstep-1");
@@ -278,7 +281,6 @@ TEST(RepositoryCacheTest, HitsMissesAndInvalidation) {
 
 TEST(RepositoryCacheTest, EvictsLeastRecentlyUsed) {
   ArchiveRepository repo(FreshDir("evict"));
-  repo.set_write_format(ArchiveFormat::kGba);
   ASSERT_TRUE(repo.Save(MakeArchive("Giraph", "BFS", 9), "job").ok());
   repo.set_cache_capacity(2);
 
@@ -296,7 +298,6 @@ TEST(RepositoryCacheTest, EvictsLeastRecentlyUsed) {
 
 TEST(RepositoryCacheTest, SubtreeFetchMissingPathIsNotFound) {
   ArchiveRepository repo(FreshDir("cache_missing"));
-  repo.set_write_format(ArchiveFormat::kGba);
   ASSERT_TRUE(repo.Save(MakeArchive("Giraph", "BFS", 9), "job").ok());
   auto missing = repo.FetchSubtree("job", "Root/NoSuchStep");
   ASSERT_FALSE(missing.ok());
@@ -342,7 +343,7 @@ TEST_P(RepositoryFaultTest, FailedSaveLeavesNoTruncatedArchive) {
   EXPECT_EQ(repo.Load("good")->ToJsonString(), good_body) << failing_stage;
   EXPECT_EQ(repo.Load("fresh").status().code(), StatusCode::kNotFound);
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    EXPECT_EQ(entry.path().extension(), ".json")
+    EXPECT_NE(entry.path().extension(), ".tmp")
         << "leftover temp file: " << entry.path();
   }
   auto entries = repo.List();
@@ -354,67 +355,132 @@ TEST_P(RepositoryFaultTest, FailedSaveLeavesNoTruncatedArchive) {
 INSTANTIATE_TEST_SUITE_P(AllStages, RepositoryFaultTest,
                          ::testing::Values("write", "fsync", "rename"));
 
-// --------------------------------------------------------- packing -------
+// ------------------------------------------- legacy JSON directories ----
 
-TEST(RepositoryPackTest, PackRoundTripsBodiesAndPreservesSavedTimes) {
+TEST(RepositoryLegacyTest, JsonBodiesAreRefusedUntilPacked) {
+  std::string dir = FreshDir("legacy");
+  PerformanceArchive a = MakeArchive("Giraph", "BFS", 10);
+  PerformanceArchive b = MakeArchive("Pgxd", "WCC", 20);
+  WriteLegacyRepository(dir, {{"a", &a, 500}, {"b", &b, 600}});
+  ArchiveRepository repo(dir);
+
+  // Every reader fails loudly instead of listing an empty repository, and
+  // nothing on disk changes: serve roots and CI baselines are read-only.
+  auto expect_refused = [](const Status& status, const char* what) {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << what;
+    EXPECT_NE(status.message().find("granula pack --repo="),
+              std::string::npos)
+        << what << ": " << status;
+  };
+  expect_refused(repo.List().status(), "List");
+  expect_refused(repo.Select({}).status(), "Select");
+  expect_refused(repo.ScanAll([](size_t, const ArchiveRepository::Entry&,
+                                 const ArchiveView&) { return Status::OK(); }),
+                 "ScanAll");
+  expect_refused(repo.Load("a").status(), "Load");
+  expect_refused(repo.FetchSubtree("a", "Root").status(), "FetchSubtree");
+  expect_refused(
+      repo.ScanArchive("a", [](const ArchiveView&) { return Status::OK(); }),
+      "ScanArchive");
+  expect_refused(repo.Save(MakeArchive("Giraph", "BFS", 1)).status(), "Save");
+  expect_refused(repo.Remove("a"), "Remove");
+  EXPECT_TRUE(std::filesystem::exists(dir + "/a.json"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/a.gba"));
+}
+
+TEST(RepositoryLegacyTest, PackImportsBodiesAndKeepsSavedTimes) {
   HookGuard guard;
   ArchiveRepository::SetWallClockForTest(&FakeNow);
-  ArchiveRepository repo(FreshDir("pack"));
-  g_fake_now = 500;
-  ASSERT_TRUE(repo.Save(MakeArchive("Giraph", "BFS", 10), "a").ok());
-  g_fake_now = 600;
-  ASSERT_TRUE(repo.Save(MakeArchive("Pgxd", "WCC", 20), "b").ok());
-  const std::string a_json = repo.Load("a")->ToJsonString();
-
   g_fake_now = 9999;  // packing must NOT look like a new save
-  auto packed = repo.Pack(ArchiveFormat::kGba);
+  std::string dir = FreshDir("pack");
+  PerformanceArchive a = MakeArchive("Giraph", "BFS", 10);
+  PerformanceArchive b = MakeArchive("Pgxd", "WCC", 20);
+  WriteLegacyRepository(dir, {{"a", &a, 500}, {"b", &b, 600}});
+  // A foreign file the import must leave alone.
+  std::ofstream(dir + "/notes.json") << "not json at all";
+
+  ArchiveRepository repo(dir);
+  auto packed = repo.Pack();
   ASSERT_TRUE(packed.ok()) << packed.status();
   EXPECT_EQ(packed->converted, 2u);
   EXPECT_EQ(packed->skipped, 0u);
   EXPECT_LT(packed->bytes_after, packed->bytes_before)
       << "the binary form should be smaller than the JSON it replaces";
+  EXPECT_FALSE(std::filesystem::exists(dir + "/a.json"));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/notes.json"));
 
   auto entries = repo.List();
-  ASSERT_TRUE(entries.ok());
+  ASSERT_TRUE(entries.ok()) << entries.status();
   ASSERT_EQ(entries->size(), 2u);
   EXPECT_EQ((*entries)[0].format, ArchiveFormat::kGba);
   EXPECT_EQ((*entries)[0].saved_unix_seconds, 500);
   EXPECT_EQ((*entries)[1].saved_unix_seconds, 600);
+  EXPECT_EQ(repo.Load("a")->ToJsonString(), a.ToJsonString());
 
-  // Bodies survive the round trip to binary and back, byte-exact.
-  EXPECT_EQ(repo.Load("a")->ToJsonString(), a_json);
-  auto repacked = repo.Pack(ArchiveFormat::kJson);
-  ASSERT_TRUE(repacked.ok());
-  EXPECT_EQ(repacked->converted, 2u);
-  EXPECT_EQ(repo.Load("a")->ToJsonString(), a_json);
-
-  auto again = repo.Pack(ArchiveFormat::kJson);
+  auto again = repo.Pack();
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->converted, 0u);
   EXPECT_EQ(again->skipped, 2u);
 }
 
-TEST(RepositoryPackTest, SaveReplacesStaleSiblingFormat) {
-  ArchiveRepository repo(FreshDir("sibling"));
-  repo.set_write_format(ArchiveFormat::kGba);
+TEST(RepositoryLegacyTest, PackFailsOnACorruptListedBody) {
+  std::string dir = FreshDir("pack_corrupt");
+  PerformanceArchive a = MakeArchive("Giraph", "BFS", 10);
+  WriteLegacyRepository(dir, {{"a", &a, 500}});
+  std::ofstream(dir + "/a.json", std::ios::trunc) << "{\"root\": 7}";
+  ArchiveRepository repo(dir);
+  auto packed = repo.Pack();
+  ASSERT_FALSE(packed.ok());
+  EXPECT_EQ(packed.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(repo.List().status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(RepositoryIndexTest, OverwriteThatChangesTheEntryDropsItFirst) {
+  HookGuard guard;
+  std::string dir = FreshDir("overwrite");
+  ArchiveRepository repo(dir);
   ASSERT_TRUE(repo.Save(MakeArchive("Giraph", "BFS", 5), "job").ok());
-  repo.set_write_format(ArchiveFormat::kJson);
+  // The new body lands and the index write after it fails: the crash
+  // window between the two.
+  int index_writes = 0;
+  ArchiveRepository::SetIoFaultHookForTest(
+      [&index_writes](const char* stage, const std::string& path) {
+        if (std::string(stage) == "write" &&
+            path.find("index.json") != std::string::npos &&
+            ++index_writes == 2) {
+          return Status::IoError("injected crash after the body rename");
+        }
+        return Status::OK();
+      });
   ASSERT_TRUE(repo.Save(MakeArchive("Giraph", "BFS", 6), "job").ok());
-  // Only the JSON body remains; the index sees the new content.
-  EXPECT_FALSE(std::filesystem::exists(repo.directory() + "/job.gba"));
-  ASSERT_TRUE(repo.Load("job").ok());
-  auto entries = repo.List();
-  ASSERT_TRUE(entries.ok());
+  ArchiveRepository::SetIoFaultHookForTest({});
+  EXPECT_EQ(index_writes, 2) << "the changed entry is dropped, then re-added";
+
+  ArchiveRepository reopened(dir);
+  auto entries = reopened.List();
+  ASSERT_TRUE(entries.ok()) << entries.status();
   ASSERT_EQ(entries->size(), 1u);
-  EXPECT_EQ((*entries)[0].format, ArchiveFormat::kJson);
-  EXPECT_DOUBLE_EQ((*entries)[0].total_seconds, 6.0);
+  EXPECT_DOUBLE_EQ((*entries)[0].total_seconds, 6.0)
+      << "the index listed the overwritten body's old metadata";
+
+  // An overwrite that leaves the entry unchanged writes the index once.
+  index_writes = 0;
+  ArchiveRepository::SetIoFaultHookForTest(
+      [&index_writes](const char* stage, const std::string& path) {
+        if (std::string(stage) == "write" &&
+            path.find("index.json") != std::string::npos) {
+          ++index_writes;
+        }
+        return Status::OK();
+      });
+  ASSERT_TRUE(reopened.Save(MakeArchive("Giraph", "BFS", 6), "job").ok());
+  EXPECT_EQ(index_writes, 1);
 }
 
 // ------------------------------------------------- shallow loading -------
 
 TEST(RepositoryShallowTest, LoadLevelsCutsGbaBodies) {
   ArchiveRepository repo(FreshDir("shallow"));
-  repo.set_write_format(ArchiveFormat::kGba);
   ASSERT_TRUE(repo.Save(MakeArchive("Giraph", "BFS", 9, 5), "job").ok());
 
   auto top = repo.Load("job", 1);

@@ -115,32 +115,36 @@ TEST(RepositoryErrorTest, LoadMissingFileIsNotFound) {
             std::string::npos);
 }
 
-TEST(RepositoryErrorTest, LoadTruncatedJsonIsCorruption) {
+TEST(RepositoryErrorTest, LoadTruncatedBodyIsCorruption) {
   ArchiveRepository repo(FreshDir("load_trunc"));
   ASSERT_TRUE(repo.Init().ok());
   auto name = repo.Save(MakeArchive("pgxd", 1.0));
   ASSERT_TRUE(name.ok());
   // Chop the file in half, as a crashed copy or a partial download would.
-  std::string path = repo.directory() + "/" + name.value() + ".json";
-  std::ifstream in(path);
+  std::string path = repo.directory() + "/" + name.value() + ".gba";
+  std::ifstream in(path, std::ios::binary);
   std::stringstream buffer;
   buffer << in.rdbuf();
   in.close();
-  std::string text = buffer.str();
-  std::ofstream(path, std::ios::trunc) << text.substr(0, text.size() / 2);
+  std::string bytes = buffer.str();
+  std::ofstream(path, std::ios::trunc | std::ios::binary)
+      << bytes.substr(0, bytes.size() / 2);
   auto loaded = repo.Load(name.value());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(RepositoryErrorTest, LoadNonArchiveJsonIsCorruption) {
+TEST(RepositoryErrorTest, LoadForeignBodyIsCorruption) {
   ArchiveRepository repo(FreshDir("load_foreign"));
   ASSERT_TRUE(repo.Init().ok());
-  std::ofstream(repo.directory() + "/foreign.json")
+  std::ofstream(repo.directory() + "/foreign.gba")
       << "{\"root\": 42, \"model\": []}";
   auto loaded = repo.Load("foreign");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  // A JSON file is not a repository body at all.
+  std::ofstream(repo.directory() + "/other.json") << "{}";
+  EXPECT_EQ(repo.Load("other").status().code(), StatusCode::kNotFound);
 }
 
 TEST(RepositoryErrorTest, ListSkipsDamagedFilesButKeepsGoodOnes) {

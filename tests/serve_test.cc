@@ -30,7 +30,6 @@
 namespace granula::serve {
 namespace {
 
-using core::ArchiveFormat;
 using core::ArchiveRepository;
 using core::PerformanceArchive;
 
@@ -151,12 +150,10 @@ Json MustParse(const std::string& text) {
 // written before Start() (pool constraint, see the file comment).
 class ServeTest : public testing::Test {
  protected:
-  void StartServer(const std::string& dir_name, int timeout_ms = 5000,
-                   ArchiveFormat format = ArchiveFormat::kGba) {
+  void StartServer(const std::string& dir_name, int timeout_ms = 5000) {
     ArchiveRepository::SetWallClockForTest(&FakeNow);
     g_fake_now = 1000;
     repo_ = std::make_unique<ArchiveRepository>(FreshDir(dir_name));
-    repo_->set_write_format(format);
     ASSERT_TRUE(repo_->Save(MakeArchive("Giraph", "BFS", 10), "g-bfs").ok());
     g_fake_now = 2000;
     ASSERT_TRUE(
@@ -265,6 +262,29 @@ TEST_F(ServeTest, ArchiveFetchFullAndShallow) {
   EXPECT_EQ(missing->status, 404);
   EXPECT_EQ(MustParse(missing->body).Find("error")->GetString("code"),
             "not_found");
+}
+
+// Regression: `granula bench`/`run --save-repo` save with default options,
+// and a repository written that way used to serve the full tree for any
+// ?depth=. The archive here is saved by a second repository object that
+// never touches a write option.
+TEST_F(ServeTest, DepthCutsAnArchiveSavedWithDefaultOptions) {
+  StartServer("default_depth");
+  ArchiveRepository writer(repo_->directory());
+  ASSERT_TRUE(writer.Save(MakeArchive("Giraph", "BFS", 10), "deep").ok());
+
+  auto full = Fetch(port(), "/archives/deep");
+  auto shallow = Fetch(port(), "/archives/deep?depth=1");
+  ASSERT_TRUE(full.ok() && shallow.ok());
+  ASSERT_EQ(full->status, 200);
+  ASSERT_EQ(shallow->status, 200);
+  EXPECT_GT(MustParse(full->body).Find("root")->Find("children")->size(), 0u);
+  EXPECT_EQ(MustParse(shallow->body).Find("root")->Find("children")->size(),
+            0u)
+      << "depth=1 must cut the tree below the root";
+  auto expected = writer.Load("deep", 1);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(shallow->body, expected->ToJsonString(2));
 }
 
 TEST_F(ServeTest, SubtreeFetchIsDecodedAndSerializedOncePerProcess) {

@@ -58,15 +58,15 @@
 //                     opening a single archive body)
 //   granula query    --repo=DIR --name=NAME [--path=ROOT/CHILD/...]
 //                    [--findings]
-//                    (prints the archive as JSON; --path decodes just that
-//                     operation subtree — against a packed repository the
-//                     rest of the file is never parsed; --findings prints
-//                     the quarantine section)
-//   granula pack     --repo=DIR [--to=gba|json]
-//                    (converts every archive body in place, atomically per
-//                     archive; gba is the compact binary columnar format,
-//                     json the interchange form. Round trips are byte-exact
-//                     either direction.)
+//                    (prints the archive as JSON — the export form;
+//                     --path decodes just that operation subtree, the rest
+//                     of the body is never parsed; --findings prints the
+//                     quarantine section)
+//   granula pack     --repo=DIR
+//                    (one-way import of a repository written by an older
+//                     granula: converts its JSON archive bodies to GBA, the
+//                     only body format, atomically per archive; run again
+//                     to finish an interrupted pack. --to=json exits 64.)
 //   granula serve    --root=DIR [--host=127.0.0.1] [--port=8080]
 //                    [--threads=N] [--timeout-ms=5000]
 //                    (HTTP query daemon over an archive repository; exit 64

@@ -427,8 +427,8 @@ Result<int> CmdBench(const Flags& flags, std::FILE* out, std::FILE* err) {
   }
 
   // The archives are reduced by zero-copy scans (ScanSweepSummaries):
-  // packed (GBA) bodies are mmap'd and columnar-walked in place, nothing
-  // below the summary is ever materialized.
+  // bodies are mmap'd and columnar-walked in place, nothing below the
+  // summary is ever materialized.
   core::ArchiveRepository repo(options.repo_dir);
   GRANULA_ASSIGN_OR_RETURN(std::vector<core::SweepSummary> entries,
                            core::ScanSweepSummaries(repo, depth));
@@ -629,27 +629,29 @@ Result<int> CmdList(const Flags& flags, std::FILE* out) {
   return kExitOk;
 }
 
-// granula pack — convert every archive body of a repository to the target
-// format (default: the binary GBA format), rewriting the index.
+// granula pack — one-way import of a repository written by an older
+// granula: every JSON archive body becomes GBA and the index is rewritten.
+// JSON leaves a repository one archive at a time, via `query --name`.
 Result<int> CmdPack(const Flags& flags, std::FILE* out, std::FILE* err) {
   if (!flags.Has("repo")) {
     return Status::InvalidArgument("pack requires --repo=DIR");
   }
-  Result<core::ArchiveFormat> format =
-      core::ParseArchiveFormat(flags.Get("to", "gba"));
-  if (!format.ok()) {
-    std::fprintf(err, "granula pack: %s\n", format.status().message().c_str());
+  const std::string to = flags.Get("to", "gba");
+  if (to != "gba") {
+    std::fprintf(err,
+                 "granula pack: --to=%s is not supported; GBA is the only "
+                 "repository body format (export one archive as JSON with "
+                 "'granula query --repo=DIR --name=NAME')\n",
+                 to.c_str());
     return kExitUsage;
   }
   core::ArchiveRepository repo(flags.Get("repo"));
   GRANULA_ASSIGN_OR_RETURN(core::ArchiveRepository::PackStats stats,
-                           repo.Pack(*format));
+                           repo.Pack());
   std::fprintf(out,
-               "packed %s: %zu archive(s) converted to %s (%zu already "
+               "packed %s: %zu archive(s) converted to gba (%zu already "
                "there), %llu -> %llu bytes\n",
-               flags.Get("repo").c_str(), stats.converted,
-               std::string(core::ArchiveFormatName(*format)).c_str(),
-               stats.skipped,
+               flags.Get("repo").c_str(), stats.converted, stats.skipped,
                static_cast<unsigned long long>(stats.bytes_before),
                static_cast<unsigned long long>(stats.bytes_after));
   return kExitOk;
@@ -657,13 +659,14 @@ Result<int> CmdPack(const Flags& flags, std::FILE* out, std::FILE* err) {
 
 // granula query — the index/partial-load reader. Without --name, filters
 // the repository index (no archive body is opened); with --name, prints
-// the archive, one subtree (--path, decoded without touching the rest of
-// a packed body), or the quarantine findings (--findings).
+// the archive as JSON (the export form), one subtree (--path, decoded
+// without touching the rest of the body), or the quarantine findings
+// (--findings).
 Result<int> CmdQuery(const Flags& flags, std::FILE* out, std::FILE* err) {
   if (!flags.Has("repo")) {
     return Status::InvalidArgument(
         "query requires --repo=DIR (a repository made by bench/run "
-        "--save-repo, optionally packed with 'granula pack')");
+        "--save-repo)");
   }
   core::ArchiveRepository repo(flags.Get("repo"));
   if (flags.Has("name")) {

@@ -5,8 +5,7 @@
 //
 // The fixture copies examples/baseline_sweep into a temp repository and
 // packs it to GBA, then serves it from a loopback HttpServer. Two server
-// configurations run back to back (never concurrently — the host pool
-// executes one job, and a server's worker loops are that job):
+// configurations run back to back, one server at a time:
 //   hot  — the default shared subtree LRU, so repeated fetches of one
 //          subtree decode once and then hit the cache;
 //   cold — cache capacity 0, so every request re-opens and re-decodes the
@@ -25,7 +24,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common/socket.h"
-#include "common/thread_pool.h"
 #include "granula/archive/repository.h"
 #include "granula/serve/server.h"
 #include "granula/serve/service.h"
@@ -84,13 +82,6 @@ class ServerManager {
     std::lock_guard<std::mutex> lock(mu_);
     if (mode != mode_) {
       StopLocked();
-      // A blocking worker stays parked on its keep-alive connection, so
-      // the daemon needs at least as many workers as the benchmark has
-      // client threads. Resize is safe here: no server (and therefore no
-      // pool job) is running between StopLocked() and Start().
-      if (ThreadPool::Global().num_threads() < kMinWorkers) {
-        ThreadPool::Global().Resize(kMinWorkers);
-      }
       repo_ = std::make_unique<ArchiveRepository>(PackedRepoDir());
       ServiceOptions service_options;
       if (mode == Mode::kCold) {
@@ -102,8 +93,11 @@ class ServerManager {
       }
       service_ = std::make_unique<ArchiveService>(repo_.get(),
                                                   service_options);
+      // A connection thread stays parked on its keep-alive connection, so
+      // the daemon needs more threads than the benchmark has clients.
       ServerOptions options;
       options.port = 0;
+      options.threads = kMinWorkers;
       server_ = std::make_unique<HttpServer>(service_.get(), options);
       if (!server_->Start().ok()) std::abort();
       mode_ = mode;

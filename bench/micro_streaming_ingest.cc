@@ -2,7 +2,7 @@
 // ingest throughput (records/s) vs. the batch Archiver over the same log,
 // the cost of a mid-stream Snapshot() as the open-operation table grows,
 // and feed-follow throughput (records/s a TcpRecordSource pulls from a
-// LogFeedServer over loopback). Ingest must keep up with a platform
+// LogFeedService behind an HttpServer over loopback). Ingest must keep up with a platform
 // writing records at job speed; Snapshot() runs once per watch poll, so
 // it prices the live view.
 //
@@ -21,6 +21,7 @@
 #include "granula/model/performance_model.h"
 #include "granula/monitor/job_logger.h"
 #include "granula/serve/feed.h"
+#include "granula/serve/server.h"
 
 namespace granula::core {
 namespace {
@@ -109,11 +110,11 @@ void BM_MidStreamSnapshot(benchmark::State& state) {
 BENCHMARK(BM_MidStreamSnapshot)->Arg(8)->Arg(64)->Arg(256);
 
 // Feed follow: each iteration a fresh TcpRecordSource drains the whole
-// log from one in-process LogFeedServer over loopback — the HTTP request,
-// the chunked stream, and line decoding, on the follower's side. Real
-// time, since the feed's sender thread does half the work. Iterations are
-// fixed because a feed connection lingers until the log grows or the
-// feed stops, and the feed caps concurrent connections at 32.
+// log from one in-process feed (HttpServer + LogFeedService, with
+// `granula feed`'s settings) over loopback — the HTTP request, the
+// chunked stream, and line decoding, on the follower's side. Real time,
+// since the feed's connection thread does half the work. Iterations are
+// fixed so runs compare across builds.
 void BM_FeedFollow(benchmark::State& state) {
   std::vector<LogRecord> records =
       MakeLog(static_cast<int>(state.range(0)), 16);
@@ -124,9 +125,11 @@ void BM_FeedFollow(benchmark::State& state) {
     state.SkipWithError("cannot write the feed log");
     return;
   }
-  serve::LogFeedServer::Options options;
-  options.path = log;
-  serve::LogFeedServer feed(options);
+  serve::LogFeedService log_feed(log);
+  serve::ServerOptions options;
+  options.threads = 32;
+  options.timeout_ms = 2000;
+  serve::HttpServer feed(&log_feed, options);
   if (!feed.Start().ok()) {
     state.SkipWithError("cannot start the feed");
     return;

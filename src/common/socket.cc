@@ -126,8 +126,16 @@ Status TcpSocket::WriteAll(std::string_view data) {
   return Status::OK();
 }
 
-void TcpSocket::ShutdownRead() {
-  if (valid()) ::shutdown(fd_, SHUT_RD);
+bool TcpSocket::PeerClosed() {
+  if (!valid()) return true;
+  for (;;) {
+    char byte;
+    ssize_t got = ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+    if (got > 0) return false;  // unread bytes: the peer is still there
+    if (got == 0) return true;  // orderly close (or our own SHUT_RD)
+    if (errno == EINTR) continue;
+    return errno != EAGAIN && errno != EWOULDBLOCK;  // reset or error
+  }
 }
 
 void TcpSocket::Close() {
@@ -276,7 +284,7 @@ TcpSocket::ReadOutcome TcpSocket::Read(std::string&, size_t) {
 Status TcpSocket::WriteAll(std::string_view) {
   return Status::Unimplemented("sockets unavailable on this platform");
 }
-void TcpSocket::ShutdownRead() {}
+bool TcpSocket::PeerClosed() { return true; }
 void TcpSocket::Close() { fd_ = -1; }
 
 TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {

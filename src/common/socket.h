@@ -42,10 +42,12 @@ class TcpSocket {
   // with "timed out" in the message for the timeout case.
   Status WriteAll(std::string_view data);
 
-  // Disallows further reads (::shutdown SHUT_RD): a thread blocked in
-  // Read() observes EOF. Writes still flush, so a worker draining a
-  // response is not cut off mid-body.
-  void ShutdownRead();
+  // Whether the peer has closed or reset the connection, without blocking
+  // and without consuming bytes it sent. A writer that only writes now and
+  // then (a feed stream on an idle log) calls this between writes to
+  // notice a follower that has gone. Also true once ShutdownReadFd() has
+  // shut the read side.
+  bool PeerClosed();
 
   void Close();
 
@@ -92,9 +94,11 @@ class TcpListener {
 Result<TcpSocket> TcpConnect(const std::string& host, int port,
                              int timeout_ms);
 
-// Half-closes the read side of an fd owned elsewhere. The server's Stop()
-// uses this to unblock workers' reads on in-flight connections it tracks
-// only by fd; no-op for invalid fds.
+// Half-closes the read side of an fd owned elsewhere (::shutdown SHUT_RD).
+// The server's Stop() uses this on in-flight connections it tracks only by
+// fd: a thread blocked in Read() observes EOF, while writes still flush,
+// so a response being drained is not cut off mid-body. No-op for invalid
+// fds.
 void ShutdownReadFd(int fd);
 
 }  // namespace granula

@@ -108,9 +108,10 @@ void ThreadPool::ParallelFor(uint64_t begin, uint64_t end, uint64_t grain,
   if (grain == 0) grain = 1;
   uint64_t chunks = NumChunks(end - begin, grain);
   // Inline path: single thread, single chunk, a nested call from inside a
-  // pool job, or an outside caller that finds the job slot taken (another
-  // thread's job may hold it indefinitely — HttpServer's worker loops do —
-  // so waiting for it could deadlock). Chunk indices and bounds are
+  // pool job, or an outside caller that finds the job slot taken by
+  // another thread's job (concurrent HTTP handlers, a fleet finalizer
+  // saving beside them): it runs its own chunks instead of queueing
+  // behind a job of unknown length. Chunk indices and bounds are
   // identical to the threaded path.
   auto run_inline = [&] {
     for (uint64_t c = 0; c < chunks; ++c) {

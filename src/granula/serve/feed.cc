@@ -7,7 +7,6 @@
 
 #include "common/mapped_file.h"
 #include "common/strings.h"
-#include "granula/serve/http.h"
 #include "granula/serve/service.h"
 
 namespace granula::serve {
@@ -39,78 +38,31 @@ Result<uint64_t> RangeStart(const std::string& range) {
 
 }  // namespace
 
-Status LogFeedServer::Start() {
-  if (running_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("feed server is already running");
+HttpResponse LogFeedService::Handle(const HttpRequest& request) {
+  const uint64_t index = requests_.fetch_add(1, std::memory_order_relaxed);
+  NetFault fault;
+  if (fault_hook_) fault = fault_hook_(index);
+  HttpResponse response;
+  if (fault.refuse) {
+    // An empty stream: the server closes the connection unanswered, so
+    // the follower sees a dead connection.
+    response.stream = [](TcpSocket&, const std::atomic<bool>&) {};
+    return response;
   }
-  GRANULA_ASSIGN_OR_RETURN(
-      listener_, TcpListener::Bind(options_.host, options_.port, 64));
-  port_ = listener_.port();
-  stopping_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void LogFeedServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stopping_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();
-  std::vector<std::thread> workers;
-  {
-    std::lock_guard<std::mutex> lock(workers_mu_);
-    workers.swap(workers_);
-  }
-  for (std::thread& worker : workers) {
-    if (worker.joinable()) worker.join();
-  }
-}
-
-void LogFeedServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    Result<TcpSocket> accepted = listener_.Accept(/*timeout_ms=*/50);
-    if (!accepted.ok()) break;  // listener broken; Stop() owns cleanup
-    if (!accepted->valid()) continue;  // poll timeout: re-check stopping_
-    const uint64_t index = accepted_.fetch_add(1, std::memory_order_relaxed);
-    NetFault fault;
-    if (fault_hook_) fault = fault_hook_(index);
-    if (fault.refuse ||
-        active_.load(std::memory_order_relaxed) >= options_.max_connections) {
-      continue;  // destructor closes: the follower sees a dead connection
-    }
-    TcpSocket socket = std::move(*accepted);
-    (void)socket.SetTimeouts(options_.timeout_ms, options_.timeout_ms);
-    active_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(workers_mu_);
-    workers_.emplace_back(
-        [this, fault](TcpSocket sock) {
-          ServeConnection(std::move(sock), fault);
-          active_.fetch_sub(1, std::memory_order_relaxed);
-        },
-        std::move(socket));
-  }
-}
-
-void LogFeedServer::ServeConnection(TcpSocket socket, NetFault fault) {
-  // The follower's request head, read with the serve stack's parser.
-  std::string buffer;
-  HttpRequest request;
-  size_t consumed = 0;
-  Result<bool> parsed = false;
-  while ((parsed = ParseHttpRequest(buffer, &request, &consumed)).ok() &&
-         !*parsed) {
-    if (socket.Read(buffer) != TcpSocket::ReadOutcome::kData) return;
-  }
-  Result<uint64_t> start = parsed.ok() ? RangeStart(request.Header("range"))
-                                       : Result<uint64_t>(parsed.status());
+  Result<uint64_t> start = RangeStart(request.Header("range"));
   if (!start.ok()) {
-    (void)socket.WriteAll(SerializeHttpResponse(
-        MakeErrorResponse(400, "bad_request", start.status().message()),
-        /*keep_alive=*/false));
-    return;
+    return MakeErrorResponse(400, "bad_request", start.status().message());
   }
-  uint64_t offset = *start;
+  response.stream = [this, offset = *start, fault](
+                        TcpSocket& socket, const std::atomic<bool>& stopping) {
+    Stream(socket, stopping, offset, fault);
+  };
+  return response;
+}
+
+void LogFeedService::Stream(TcpSocket& socket,
+                            const std::atomic<bool>& stopping,
+                            uint64_t offset, NetFault fault) const {
   if (!socket
            .WriteAll("HTTP/1.1 200 OK\r\n"
                      "Content-Type: application/x-ndjson\r\n"
@@ -120,11 +72,11 @@ void LogFeedServer::ServeConnection(TcpSocket socket, NetFault fault) {
     return;
   }
 
-  if (fault.stall_ms > 0) NapUnless(stopping_, fault.stall_ms);
+  if (fault.stall_ms > 0) NapUnless(stopping, fault.stall_ms);
 
   uint64_t sent = 0;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    Result<MappedFile> file = MappedFile::Open(options_.path);
+  while (!stopping.load(std::memory_order_acquire)) {
+    Result<MappedFile> file = MappedFile::Open(path_);
     if (file.ok()) {
       std::string_view data = file->data();
       if (data.size() < offset) return;  // truncated behind our back
@@ -150,7 +102,10 @@ void LogFeedServer::ServeConnection(TcpSocket socket, NetFault fault) {
         if (abort_after) return;
       }
     }
-    NapUnless(stopping_, options_.poll_interval_ms);
+    NapUnless(stopping, poll_interval_ms_);
+    // A follower that has gone would otherwise hold this connection
+    // thread until the log next grows and the write fails.
+    if (socket.PeerClosed()) return;
   }
 }
 

@@ -19,10 +19,10 @@ struct TransportCounters {
 
 // What HttpServer serves: a pure parsed-request -> response function plus
 // the transport counters to report against. Implementations must be
-// thread-safe — every connection worker calls Handle() concurrently.
-// ArchiveService (read-only archive routes) and FleetService (live
-// ingest + fleet status) both sit behind this, so one server type runs
-// either daemon.
+// thread-safe — every connection thread calls Handle() concurrently.
+// ArchiveService (read-only archive routes), FleetService (live ingest +
+// fleet status) and LogFeedService (a streamed log) all sit behind this,
+// so one server type runs every daemon.
 class HttpHandler {
  public:
   virtual ~HttpHandler() = default;

@@ -1,12 +1,18 @@
 #ifndef GRANULA_GRANULA_SERVE_HTTP_H_
 #define GRANULA_GRANULA_SERVE_HTTP_H_
 
+#include <atomic>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
+
+namespace granula {
+class TcpSocket;
+}  // namespace granula
 
 namespace granula::serve {
 
@@ -44,6 +50,12 @@ struct HttpResponse {
   // emitted by SerializeHttpResponse.
   std::vector<std::pair<std::string, std::string>> headers;
   std::string body;
+  // Streaming routes (the log feed) set this instead of a body: after
+  // routing, the server hands the connection to it and closes it when it
+  // returns. It writes its own status line and headers, and should return
+  // soon after `stopping` turns true so a drain is not held up.
+  std::function<void(TcpSocket& socket, const std::atomic<bool>& stopping)>
+      stream;
 };
 
 // Incremental request parse over the bytes received so far.

@@ -1,6 +1,5 @@
 #include "granula/serve/server.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/strings.h"
@@ -8,33 +7,30 @@
 
 namespace granula::serve {
 
+namespace {
+constexpr int kListenBacklog = 128;
+}  // namespace
+
 Status HttpServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("server is already running");
   }
   GRANULA_ASSIGN_OR_RETURN(
       listener_,
-      TcpListener::Bind(options_.host, options_.port, options_.backlog));
+      TcpListener::Bind(options_.host, options_.port, kListenBacklog));
   port_ = listener_.port();
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
 
   listener_thread_ = std::thread([this] { ListenerLoop(); });
 
-  // Connection workers are one long ParallelFor job: W chunks, each a
-  // worker loop. The pool runs a single job at a time, so W is clamped to
-  // the pool size — more chunks than runnable threads would leave workers
-  // parked until another loop exits at shutdown.
-  const int pool_threads = ThreadPool::Global().num_threads();
-  int workers = options_.threads <= 0 ? pool_threads
-                                      : std::min(options_.threads,
-                                                 pool_threads);
-  workers = std::max(workers, 1);
-  driver_thread_ = std::thread([this, workers] {
-    ThreadPool::Global().ParallelFor(
-        0, static_cast<uint64_t>(workers), 1,
-        [this](uint64_t, uint64_t, uint64_t) { WorkerLoop(); });
-  });
+  const int threads = options_.threads > 0
+                          ? options_.threads
+                          : ThreadPool::Global().num_threads();
+  workers_.reserve(static_cast<size_t>(threads));
+  for (int i = 0; i < threads; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
   return Status::OK();
 }
 
@@ -51,7 +47,7 @@ void HttpServer::ListenerLoop() {
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       if (!stopping_.load(std::memory_order_acquire) &&
-          queue_.size() < static_cast<size_t>(options_.accept_queue)) {
+          queue_.size() < kAcceptQueue) {
         queue_.push_back(std::move(socket));
         queue_cv_.notify_one();
         continue;
@@ -137,6 +133,10 @@ void HttpServer::ServeConnection(TcpSocket socket) {
     buffer.erase(0, consumed);
 
     HttpResponse response = service_->Handle(request);
+    if (response.stream) {
+      response.stream(socket, stopping_);
+      return;
+    }
     const bool keep_alive =
         request.Header("Connection") != "close" &&
         !stopping_.load(std::memory_order_acquire);
@@ -161,7 +161,8 @@ void HttpServer::Stop() {
   queue_cv_.notify_all();
   if (listener_thread_.joinable()) listener_thread_.join();
   listener_.Close();
-  if (driver_thread_.joinable()) driver_thread_.join();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
 }
 
 }  // namespace granula::serve

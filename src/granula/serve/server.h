@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "common/socket.h"
 #include "granula/serve/service.h"
@@ -17,41 +18,40 @@ namespace granula::serve {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 picks a free port; port() reports the real one
-  // Connection workers. 0 = every thread of the shared host pool; larger
-  // values are clamped to the pool size (the pool runs exactly one job).
+  // Connection threads. 0 = as many as the shared host pool has threads.
   int threads = 0;
   // Per-direction socket timeout. A client that stalls mid-request gets a
   // 408 (or a silent close when it never sent a byte) after this long.
   int timeout_ms = 5000;
-  // Bounded hand-off queue between the listener and the workers; when all
-  // workers are busy and the queue is full, new connections get 503.
-  int accept_queue = 64;
-  int backlog = 128;  // kernel listen backlog
 };
 
 // The blocking HTTP/1.1 daemon: one listener thread accepting into a
-// bounded queue, plus connection workers that run as ONE long ParallelFor
-// job on the shared host ThreadPool (the pool runs a single job at a
-// time, so all pool-using setup — archiving, packing — must finish before
-// Start()). Each worker drains connections from the queue, speaking
-// keep-alive HTTP until the peer closes, errors, or Stop() drains the
-// daemon.
+// bounded queue, plus `threads` connection threads of its own (the host
+// pool stays free for compute). Each connection thread drains connections
+// from the queue, speaking keep-alive HTTP until the peer closes, errors,
+// or Stop() drains the daemon; a response with a `stream` takes the
+// connection over until it returns. When every thread is busy and the
+// queue holds kAcceptQueue connections, new connections get a 503.
 //
 // Shutdown: Stop() closes the listener, rejects queued connections, and
-// shuts down the read side of in-flight sockets — a worker mid-response
-// still flushes its bytes, then sees EOF and exits. Stop() blocks until
-// every worker has returned.
+// shuts down the read side of in-flight sockets — a thread mid-response
+// still flushes its bytes, then sees EOF and exits; a stream sees its
+// `stopping` flag. Stop() blocks until every connection thread returned.
 class HttpServer {
  public:
   HttpServer(HttpHandler* service, ServerOptions options)
       : service_(service), options_(std::move(options)) {}
   ~HttpServer() { Stop(); }
 
+  // Connections that may wait for a free connection thread.
+  static constexpr size_t kAcceptQueue = 64;
+
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  // Binds and spins up the listener + workers. IoError when the address
-  // is unavailable (CLI exit 1); FailedPrecondition when already started.
+  // Binds and spins up the listener + connection threads. IoError when
+  // the address is unavailable (CLI exit 1); FailedPrecondition when
+  // already started.
   Status Start();
 
   // The bound port (after Start(); real port when options.port was 0).
@@ -64,7 +64,7 @@ class HttpServer {
 
  private:
   void ListenerLoop();
-  // One worker's connection loop (runs as a ParallelFor chunk).
+  // One connection thread's loop.
   void WorkerLoop();
   // Serves one connection until close/EOF/timeout/stop.
   void ServeConnection(TcpSocket socket);
@@ -77,7 +77,7 @@ class HttpServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
-  // Listener -> worker hand-off, bounded by options_.accept_queue.
+  // Listener -> worker hand-off, bounded by kAcceptQueue.
   // `active_fds_` tracks sockets currently inside ServeConnection so
   // Stop() can unblock their reads; a worker registers the fd under the
   // same lock that pops it, so no connection is ever invisible to Stop().
@@ -87,7 +87,7 @@ class HttpServer {
   std::unordered_set<int> active_fds_;
 
   std::thread listener_thread_;
-  std::thread driver_thread_;  // runs the workers' ParallelFor
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace granula::serve

@@ -29,6 +29,7 @@
 #include "granula/models/models.h"
 #include "granula/monitor/job_logger.h"
 #include "granula/serve/feed.h"
+#include "granula/serve/server.h"
 #include "graph/generators.h"
 #include "platforms/powergraph.h"
 #include "sim/faults.h"
@@ -142,13 +143,13 @@ class SlowWebhook {
   std::thread thread_;
 };
 
-// Adapts a sim fault plan's net specs into the feed server's hook — the
+// Adapts a sim fault plan's net specs into the feed's hook — the
 // textual grammar drives the wire faults.
-serve::LogFeedServer::NetFaultHook HookFromPlan(
+serve::LogFeedService::NetFaultHook HookFromPlan(
     std::shared_ptr<sim::FaultPlan> plan) {
   auto injector = std::make_shared<sim::FaultInjector>(*plan);
   return [plan, injector](uint64_t connection) {
-    serve::LogFeedServer::NetFault fault;
+    serve::LogFeedService::NetFault fault;
     const sim::FaultSpec* spec =
         injector->NetFault(static_cast<uint32_t>(connection));
     if (spec == nullptr) return fault;
@@ -210,15 +211,19 @@ TEST(FleetChaosTest, EightFaultedJobsDrainWithExactlyOnceAlertAccounting) {
   // ---- feeds with wire faults from the sim grammar -----------------
   // job-4: clean. job-5: behind a slow peer. job-6: every connection
   // reset after ~1 KiB. job-7: later killed outright.
-  std::map<int, std::unique_ptr<serve::LogFeedServer>> feeds;
+  std::map<int, std::unique_ptr<serve::LogFeedService>> feed_logs;
   for (int i = 4; i < kJobs; ++i) {
-    serve::LogFeedServer::Options options;
-    options.path = paths[i];
-    feeds[i] = std::make_unique<serve::LogFeedServer>(options);
+    feed_logs[i] = std::make_unique<serve::LogFeedService>(paths[i]);
   }
-  feeds[5]->SetNetFaultHook(HookFromPlan(MustParsePlan("netslow:40:3")));
-  feeds[6]->SetNetFaultHook(
+  feed_logs[5]->SetNetFaultHook(
+      HookFromPlan(MustParsePlan("netslow:40:3")));
+  feed_logs[6]->SetNetFaultHook(
       HookFromPlan(MustParsePlan("netreset:1024:100000")));
+  std::map<int, std::unique_ptr<serve::HttpServer>> feeds;
+  for (auto& [index, log_feed] : feed_logs) {
+    feeds[index] = std::make_unique<serve::HttpServer>(log_feed.get(),
+                                                       serve::ServerOptions{});
+  }
   for (auto& [index, feed] : feeds) {
     ASSERT_TRUE(feed->Start().ok()) << "feed " << index;
   }
@@ -356,7 +361,7 @@ TEST(FleetChaosTest, EightFaultedJobsDrainWithExactlyOnceAlertAccounting) {
 
   // The reset-riddled source really reconnected, and still completed.
   EXPECT_GT(by_name["job-6"].reconnects, 0u);
-  EXPECT_GT(feeds[6]->connections_accepted(), 1u);
+  EXPECT_GT(feed_logs[6]->transport().connections.load(), 1u);
 
   // ---- exactly-once alert accounting -------------------------------
   const uint64_t total_alerts = collector->count();

@@ -671,9 +671,8 @@ TEST(LiveLineRuleTest, FileFeedAndPostDecodeTheSameBytesAlike) {
     std::fclose(f);
   }
 
-  serve::LogFeedServer::Options feed_options;
-  feed_options.path = log;
-  serve::LogFeedServer feed(feed_options);
+  serve::LogFeedService log_feed(log);
+  serve::HttpServer feed(&log_feed, serve::ServerOptions{});
   ASSERT_TRUE(feed.Start().ok());
   TcpRecordSource::Options tcp;
   tcp.port = feed.port();

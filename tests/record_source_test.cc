@@ -1,6 +1,7 @@
 // Transport-layer tests for the fleet's RecordSource abstraction: the
 // local-file source, the TCP follower against the HTTP feed (Range
-// resume, case-insensitive headers, 400 on a bad Range),
+// resume, case-insensitive headers, 400 on a bad Range, a closed follower
+// freeing its connection thread),
 // reconnect-with-resume under injected disconnects, the disconnect
 // budget, bounded partial-line buffering, and the SIGPIPE regression for
 // socket writes to a closed peer.
@@ -20,6 +21,7 @@
 #include "granula/models/models.h"
 #include "granula/monitor/job_logger.h"
 #include "granula/serve/feed.h"
+#include "granula/serve/server.h"
 #include "graph/generators.h"
 #include "platforms/powergraph.h"
 
@@ -28,7 +30,9 @@ namespace {
 
 using platform::JobConfig;
 using platform::JobResult;
-using serve::LogFeedServer;
+using serve::HttpServer;
+using serve::LogFeedService;
+using serve::ServerOptions;
 
 std::string FreshPath(const std::string& name) {
   std::string path = testing::TempDir() + "/record_source_" + name + ".jsonl";
@@ -108,9 +112,8 @@ TEST(TcpRecordSourceTest, HttpStreamingMatchesBatch) {
   std::string log = FreshPath("stream");
   ASSERT_TRUE(WriteLogRecords(log, records).ok());
 
-  LogFeedServer::Options feed_options;
-  feed_options.path = log;
-  LogFeedServer feed(feed_options);
+  LogFeedService log_feed(log);
+  HttpServer feed(&log_feed, ServerOptions{});
   ASSERT_TRUE(feed.Start().ok());
 
   TcpRecordSource::Options options;
@@ -137,9 +140,8 @@ TEST(TcpRecordSourceTest, AnyRequestPathServesTheLog) {
   std::string log = FreshPath("http");
   ASSERT_TRUE(WriteLogRecords(log, records).ok());
 
-  LogFeedServer::Options feed_options;
-  feed_options.path = log;
-  LogFeedServer feed(feed_options);
+  LogFeedService log_feed(log);
+  HttpServer feed(&log_feed, ServerOptions{});
   ASSERT_TRUE(feed.Start().ok());
 
   TcpRecordSource::Options options;
@@ -169,11 +171,10 @@ TEST(TcpRecordSourceTest, SurvivesRepeatedResetsWithoutLossOrDuplicates) {
   // Every connection is reset after ~1 KiB of payload — the follower must
   // reconnect and resume from its consumed-line offset every time, so the
   // final stream has no gap and no duplicate.
-  LogFeedServer::Options feed_options;
-  feed_options.path = log;
-  LogFeedServer feed(feed_options);
-  feed.SetNetFaultHook([](uint64_t) {
-    LogFeedServer::NetFault fault;
+  LogFeedService log_feed(log);
+  HttpServer feed(&log_feed, ServerOptions{});
+  log_feed.SetNetFaultHook([](uint64_t) {
+    LogFeedService::NetFault fault;
     fault.reset_after_bytes = 1024;
     return fault;
   });
@@ -248,9 +249,8 @@ TEST(TcpRecordSourceTest, OversizedPartialLineIsBoundedAndCounted) {
     std::fclose(f);
   }
 
-  LogFeedServer::Options feed_options;
-  feed_options.path = log;
-  LogFeedServer feed(feed_options);
+  LogFeedService log_feed(log);
+  HttpServer feed(&log_feed, ServerOptions{});
   ASSERT_TRUE(feed.Start().ok());
 
   TcpRecordSource::Options options;
@@ -280,7 +280,7 @@ std::string RawExchange(int port, const std::string& head) {
   return reply;
 }
 
-TEST(LogFeedServerTest, RangeHeaderIsCaseInsensitiveAndValidated) {
+TEST(LogFeedServiceTest, RangeHeaderIsCaseInsensitiveAndValidated) {
   std::string log = FreshPath("range");
   {
     std::FILE* f = std::fopen(log.c_str(), "wb");
@@ -288,9 +288,8 @@ TEST(LogFeedServerTest, RangeHeaderIsCaseInsensitiveAndValidated) {
     std::fputs("0123456789\n", f);
     std::fclose(f);
   }
-  LogFeedServer::Options feed_options;
-  feed_options.path = log;
-  LogFeedServer feed(feed_options);
+  LogFeedService log_feed(log);
+  HttpServer feed(&log_feed, ServerOptions{});
   ASSERT_TRUE(feed.Start().ok());
 
   // A lower-case header resumes at its offset: the first chunk carries
@@ -313,6 +312,49 @@ TEST(LogFeedServerTest, RangeHeaderIsCaseInsensitiveAndValidated) {
   EXPECT_EQ(RawExchange(feed.port(), "FEED 0\r\n\r\n").rfind("HTTP/1.1 400", 0),
             0u);
   feed.Stop();
+}
+
+// A follower that hangs up on an idle log must free its connection
+// thread. With one thread, a stream nobody reads would otherwise keep the
+// next follower queued until the log grows.
+TEST(LogFeedServiceTest, ClosedFollowerFreesItsConnectionThread) {
+  std::vector<LogRecord> records = RealJobRecords();
+  std::string log = FreshPath("hangup");
+  ASSERT_TRUE(WriteLogRecords(log, records).ok());
+
+  LogFeedService log_feed(log);
+  ServerOptions server_options;
+  server_options.threads = 1;
+  HttpServer feed(&log_feed, server_options);
+  ASSERT_TRUE(feed.Start().ok());
+
+  {
+    // Follower A reads the response head, then closes.
+    auto socket = TcpConnect("127.0.0.1", feed.port(), 1000);
+    ASSERT_TRUE(socket.ok()) << socket.status();
+    ASSERT_TRUE(socket->SetTimeouts(2000, 1000).ok());
+    ASSERT_TRUE(socket->WriteAll("GET / HTTP/1.1\r\n\r\n").ok());
+    std::string head;
+    while (head.find("\r\n\r\n") == std::string::npos &&
+           socket->Read(head) == TcpSocket::ReadOutcome::kData) {
+    }
+    ASSERT_EQ(head.rfind("HTTP/1.1 200", 0), 0u) << head;
+  }
+
+  // Follower B gets the only thread and drains the unchanged log.
+  TcpRecordSource::Options options;
+  options.port = feed.port();
+  TcpRecordSource source(options);
+  std::vector<LogRecord> streamed;
+  uint64_t malformed = 0;
+  Drain(source, records.size(), streamed, malformed, /*deadline_ms=*/2000);
+  feed.Stop();
+
+  ASSERT_EQ(streamed.size(), records.size());
+  EXPECT_EQ(malformed, 0u);
+  auto batch = Archiver().Build(MakePowerGraphModel(), records, {}, {});
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ(ArchiveJson(streamed), batch->ToJsonString(2));
 }
 
 // Satellite regression: a socket write to a peer that already closed must

@@ -1,16 +1,18 @@
 // End-to-end tests for the embedded HTTP archive daemon: real sockets
-// against a real repository. Setup that uses the shared host ThreadPool
-// (archiving) happens before Start() — the server's workers occupy the
-// pool as one long job until Stop().
+// against a real repository. The server runs its own connection threads,
+// so the shared host ThreadPool stays free for compute while it is up.
 
 #include "granula/serve/server.h"
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 
 #include "common/socket.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "granula/archive/archiver.h"
 #include "granula/archive/gba.h"
 #include "granula/archive/repository.h"
@@ -146,11 +149,11 @@ Json MustParse(const std::string& text) {
 
 // ----------------------------------------------------- fixture ----------
 
-// One repository + running server per fixture instance. Archives are
-// written before Start() (pool constraint, see the file comment).
+// One repository + running server per fixture instance.
 class ServeTest : public testing::Test {
  protected:
-  void StartServer(const std::string& dir_name, int timeout_ms = 5000) {
+  void StartServer(const std::string& dir_name, int timeout_ms = 5000,
+                   int threads = 0) {
     ArchiveRepository::SetWallClockForTest(&FakeNow);
     g_fake_now = 1000;
     repo_ = std::make_unique<ArchiveRepository>(FreshDir(dir_name));
@@ -166,6 +169,7 @@ class ServeTest : public testing::Test {
     ServerOptions options;
     options.port = 0;  // free port
     options.timeout_ms = timeout_ms;
+    options.threads = threads;
     server_ = std::make_unique<HttpServer>(service_.get(), options);
     ASSERT_TRUE(server_->Start().ok());
   }
@@ -517,6 +521,61 @@ TEST_F(ServeTest, SlowClientGets408AndServerKeepsServing) {
   auto stats = Fetch(port(), "/stats");
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(MustParse(stats->body).Find("transport")->GetInt("timeouts"), 1);
+}
+
+TEST_F(ServeTest, FullAcceptQueueGets503) {
+  StartServer("full_queue", /*timeout_ms=*/30000, /*threads=*/1);
+  // A keep-alive client parks the only connection thread...
+  auto parked_conn = TcpConnect("127.0.0.1", port(), 2000);
+  ASSERT_TRUE(parked_conn.ok()) << parked_conn.status();
+  TcpSocket parked = std::move(*parked_conn);
+  ASSERT_TRUE(parked.SetTimeouts(5000, 5000).ok());
+  ASSERT_TRUE(parked.WriteAll("GET /archives HTTP/1.1\r\n\r\n").ok());
+  auto first = ReadResponse(parked);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->status, 200);
+
+  // ...so the next kAcceptQueue connections wait in the queue...
+  std::vector<TcpSocket> queued;
+  for (size_t i = 0; i < HttpServer::kAcceptQueue; ++i) {
+    auto conn = TcpConnect("127.0.0.1", port(), 2000);
+    ASSERT_TRUE(conn.ok()) << conn.status();
+    queued.push_back(std::move(*conn));
+  }
+
+  // ...and the one after them is turned away.
+  auto extra_conn = TcpConnect("127.0.0.1", port(), 2000);
+  ASSERT_TRUE(extra_conn.ok()) << extra_conn.status();
+  TcpSocket extra = std::move(*extra_conn);
+  ASSERT_TRUE(extra.SetTimeouts(5000, 5000).ok());
+  auto busy = ReadResponse(extra);
+  ASSERT_TRUE(busy.ok()) << busy.status();
+  EXPECT_EQ(busy->status, 503);
+  EXPECT_EQ(service_->transport().rejected.load(), 1u);
+}
+
+TEST_F(ServeTest, HostPoolRunsComputeWhileServing) {
+  if (ThreadPool::Global().num_threads() == 1) {
+    GTEST_SKIP() << "the host pool has one thread";
+  }
+  StartServer("pool_free");
+  // Serve one request first: a server whose connection loops ran as a
+  // pool job would hold the pool by now.
+  auto served = Fetch(port(), "/archives");
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served->status, 200);
+  std::mutex mu;
+  std::set<std::thread::id> ran_on;
+  ThreadPool::Global().ParallelFor(
+      0, 64, 1, [&](uint64_t, uint64_t, uint64_t) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          ran_on.insert(std::this_thread::get_id());
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+  EXPECT_GT(ran_on.size(), 1u)
+      << "a running server must not push compute onto one thread";
 }
 
 TEST_F(ServeTest, FaultedRepositoryReadsAre500NotACrash) {

@@ -88,9 +88,10 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
 }
 
 TEST(ThreadPoolTest, OutsideCallerRunsInlineWhileAnotherJobHoldsThePool) {
-  // Thread A's job holds the pool (as HttpServer's worker loops do for
-  // their whole life); a second, non-pool thread calling ParallelFor must
-  // neither overwrite A's job nor wait for it.
+  // Thread A's job holds the pool (as one HTTP handler's repository scan
+  // or a fleet finalizer's save can while another runs); a second,
+  // non-pool thread calling ParallelFor must neither overwrite A's job
+  // nor wait for it.
   ThreadPool pool(4);
   std::atomic<bool> release{false};
   std::atomic<uint64_t> held_started{0};

@@ -15,7 +15,6 @@
 
 #include "common/result.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "granula/analysis/chokepoint.h"
 #include "granula/analysis/comparative.h"
 #include "granula/analysis/regression.h"
@@ -731,16 +730,30 @@ Result<int> CmdQuery(const Flags& flags, std::FILE* out, std::FILE* err) {
   return kExitOk;
 }
 
-// granula serve — the embedded HTTP daemon over an archive repository.
-// Runs until SIGINT/SIGTERM, then drains gracefully. Exit 64 on bad
-// flags, 1 when the address cannot be bound or the repository is
-// unreadable.
+// The daemons (serve, fleet, feed) run until SIGINT/SIGTERM, then drain.
 std::atomic<bool> g_serve_stop{false};
 
 void ServeSignalHandler(int) {
   g_serve_stop.store(true, std::memory_order_release);
 }
 
+// Blocks until SIGINT or SIGTERM arrives, then restores the default
+// handlers.
+void WaitForStopSignal() {
+  g_serve_stop.store(false, std::memory_order_release);
+  std::signal(SIGINT, ServeSignalHandler);
+  std::signal(SIGTERM, ServeSignalHandler);
+  while (!g_serve_stop.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  std::signal(SIGINT, SIG_DFL);
+  std::signal(SIGTERM, SIG_DFL);
+}
+
+// granula serve — the embedded HTTP daemon over an archive repository.
+// Runs until SIGINT/SIGTERM, then drains gracefully. Exit 64 on bad
+// flags, 1 when the address cannot be bound or the repository is
+// unreadable.
 Result<int> CmdServe(const Flags& flags, std::FILE* out, std::FILE* err) {
   const std::string root = flags.Get("root", flags.Get("repo"));
   if (root.empty()) {
@@ -758,11 +771,6 @@ Result<int> CmdServe(const Flags& flags, std::FILE* out, std::FILE* err) {
   options.timeout_ms =
       static_cast<int>(nums.Uint("timeout-ms", 5000, 1, 3600000));
   if (!nums.Ok(err, "serve")) return kExitUsage;
-  // More workers than the host pool has threads would never run (the
-  // pool executes exactly one job); grow the pool to match.
-  if (options.threads > ThreadPool::Global().num_threads()) {
-    ThreadPool::Global().Resize(options.threads);
-  }
 
   core::ArchiveRepository repo(root);
   Result<std::vector<core::ArchiveRepository::Entry>> entries = repo.List();
@@ -787,14 +795,7 @@ Result<int> CmdServe(const Flags& flags, std::FILE* out, std::FILE* err) {
                server.port());
   std::fflush(out);
 
-  g_serve_stop.store(false, std::memory_order_release);
-  std::signal(SIGINT, ServeSignalHandler);
-  std::signal(SIGTERM, ServeSignalHandler);
-  while (!g_serve_stop.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  WaitForStopSignal();
 
   std::fprintf(out, "granula serve: draining...\n");
   std::fflush(out);
@@ -892,9 +893,6 @@ Result<int> CmdFleet(const Flags& flags, std::FILE* out, std::FILE* err) {
   const int reconnect_budget =
       static_cast<int>(nums.Uint("reconnect-budget", 8, 0, INT_MAX));
   if (!nums.Ok(err, "fleet")) return kExitUsage;
-  if (server_options.threads > ThreadPool::Global().num_threads()) {
-    ThreadPool::Global().Resize(server_options.threads);
-  }
 
   GRANULA_ASSIGN_OR_RETURN(core::PerformanceModel default_model,
                            ModelByName(flags.Get("model", "giraph")));
@@ -966,14 +964,7 @@ Result<int> CmdFleet(const Flags& flags, std::FILE* out, std::FILE* err) {
                server_options.host.c_str(), server.port(), root.c_str());
   std::fflush(out);
 
-  g_serve_stop.store(false, std::memory_order_release);
-  std::signal(SIGINT, ServeSignalHandler);
-  std::signal(SIGTERM, ServeSignalHandler);
-  while (!g_serve_stop.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  WaitForStopSignal();
 
   std::fprintf(out, "granula fleet: draining...\n");
   std::fflush(out);
@@ -1014,33 +1005,29 @@ Result<int> CmdFeed(const Flags& flags, std::FILE* out, std::FILE* err) {
                  "required\n");
     return kExitUsage;
   }
-  serve::LogFeedServer::Options options;
   NumericFlags nums(flags);
-  options.path = log;
+  serve::LogFeedService feed(log, nums.NonNegative("poll-ms", 5));
+  // Constants, not flags: 32 followers at once, and a follower that stops
+  // reading for 2 s is dropped.
+  serve::ServerOptions options;
   options.host = flags.Get("host", "127.0.0.1");
   options.port = static_cast<int>(nums.Uint("port", 7070, 0, 65535));
-  options.poll_interval_ms = nums.NonNegative("poll-ms", 5);
+  options.threads = 32;
+  options.timeout_ms = 2000;
   if (!nums.Ok(err, "feed")) return kExitUsage;
 
-  serve::LogFeedServer feed(options);
-  Status started = feed.Start();
+  serve::HttpServer server(&feed, options);
+  Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(err, "granula feed: %s\n", started.ToString().c_str());
     return kExitFatal;
   }
   std::fprintf(out, "granula feed: serving %s on %s:%d (Ctrl-C stops)\n",
-               log.c_str(), options.host.c_str(), feed.port());
+               log.c_str(), options.host.c_str(), server.port());
   std::fflush(out);
 
-  g_serve_stop.store(false, std::memory_order_release);
-  std::signal(SIGINT, ServeSignalHandler);
-  std::signal(SIGTERM, ServeSignalHandler);
-  while (!g_serve_stop.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  feed.Stop();
+  WaitForStopSignal();
+  server.Stop();
   std::fprintf(out, "granula feed: stopped\n");
   return kExitOk;
 }

@@ -2,17 +2,19 @@
 // fault plan on a small Datagen graph, a 64-bit FNV-1a digest covers the
 // JSONL bytes of the platform log, the environment records, the bit
 // patterns of the vertex values and the JobResult counters. The digests in
-// tests/data/engine_pins.txt were recorded once; a refactor of the engines
+// tests/data/engine_pins*.txt were recorded once; a refactor of the engines
 // must reproduce them exactly. On a mismatch the test prints the case and
 // the observed digest.
 
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -104,9 +106,9 @@ constexpr algo::AlgorithmId kAlgorithms[] = {
     algo::AlgorithmId::kWcc, algo::AlgorithmId::kSssp,
     algo::AlgorithmId::kCdlp};
 
-std::map<std::string, std::string> ReadPins() {
-  std::ifstream in(std::string(GRANULA_TEST_DATA_DIR) + "/engine_pins.txt");
-  EXPECT_TRUE(in.good()) << "missing tests/data/engine_pins.txt";
+std::map<std::string, std::string> ReadPins(const std::string& file) {
+  std::ifstream in(std::string(GRANULA_TEST_DATA_DIR) + "/" + file);
+  EXPECT_TRUE(in.good()) << "missing tests/data/" << file;
   std::map<std::string, std::string> pins;
   std::string line;
   while (std::getline(in, line)) {
@@ -119,20 +121,25 @@ std::map<std::string, std::string> ReadPins() {
   return pins;
 }
 
-TEST(EnginePinTest, OutputsMatchRecordedDigests) {
+Result<graph::Graph> Datagen(uint64_t num_vertices) {
   graph::DatagenConfig config;
-  config.num_vertices = 600;
+  config.num_vertices = num_vertices;
   config.avg_degree = 6.0;
   config.seed = 23;
-  auto g = graph::GenerateDatagen(config);
-  ASSERT_TRUE(g.ok()) << g.status();
+  return graph::GenerateDatagen(config);
+}
 
-  std::map<std::string, std::string> pins = ReadPins();
+// Runs every platform x algorithm x plan on `g` with 4 workers and checks
+// each digest against `pins_file`. Every pinned case must run.
+void CheckPins(const graph::Graph& g, const std::vector<std::string>& platforms,
+               const std::vector<algo::AlgorithmId>& algorithms,
+               const std::vector<Plan>& plans, const std::string& pins_file) {
+  std::map<std::string, std::string> pins = ReadPins(pins_file);
   ASSERT_FALSE(pins.empty());
   std::map<std::string, bool> seen;
-  for (const std::string& platform : ImplementedPlatformNames()) {
-    for (algo::AlgorithmId id : kAlgorithms) {
-      for (const Plan& plan : kPlans) {
+  for (const std::string& platform : platforms) {
+    for (algo::AlgorithmId id : algorithms) {
+      for (const Plan& plan : plans) {
         std::string name = platform + "/" +
                            std::string(algo::AlgorithmName(id)) + "/" +
                            plan.label;
@@ -148,7 +155,7 @@ TEST(EnginePinTest, OutputsMatchRecordedDigests) {
           job.faults = std::move(*faults);
         }
         auto result =
-            RunForPlatform(platform, *g, spec, cluster::ClusterConfig{}, job);
+            RunForPlatform(platform, g, spec, cluster::ClusterConfig{}, job);
         auto pin = pins.find(name);
         if (!result.ok()) {
           // An algorithm the engine has no program for is simply not a
@@ -173,6 +180,30 @@ TEST(EnginePinTest, OutputsMatchRecordedDigests) {
   for (const auto& [name, digest] : pins) {
     EXPECT_TRUE(seen.count(name) > 0) << "pinned case never ran: " << name;
   }
+}
+
+TEST(EnginePinTest, OutputsMatchRecordedDigests) {
+  auto g = Datagen(600);
+  ASSERT_TRUE(g.ok()) << g.status();
+  CheckPins(*g, ImplementedPlatformNames(),
+            std::vector<algo::AlgorithmId>(std::begin(kAlgorithms),
+                                           std::end(kAlgorithms)),
+            std::vector<Plan>(std::begin(kPlans), std::end(kPlans)),
+            "engine_pins.txt");
+}
+
+// The graph above gives each of the 4 partitions ~150 vertices: one
+// ChunkedGrain chunk (min grain 256), so it cannot see how a partition's
+// vertex loop is chunked. ~1,000 vertices per partition make 4 chunks, and
+// delivery order across chunk shards then feeds every combiner sum
+// (PageRank) and every uncombined message list (CDLP) of the Pregel
+// engines, with and without a rescheduled map task.
+TEST(EnginePinTest, MultiChunkPartitionsMatchRecordedDigests) {
+  auto g = Datagen(4000);
+  ASSERT_TRUE(g.ok()) << g.status();
+  CheckPins(*g, {"giraph", "hadoop"},
+            {algo::AlgorithmId::kPageRank, algo::AlgorithmId::kCdlp},
+            {{"none", ""}, {"task", "task:2:1"}}, "engine_pins_chunked.txt");
 }
 
 }  // namespace

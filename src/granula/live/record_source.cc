@@ -13,13 +13,15 @@ namespace {
 // Reads per poll: enough to catch up a fast stream (a few MiB per poll)
 // without letting one job monopolize the supervisor loop.
 constexpr int kMaxReadsPerPoll = 64;
+// Kernel read deadline — the longest one PollOnce() can block.
+constexpr int kReadTimeoutMs = 10;
 
 }  // namespace
 
 TcpRecordSource::TcpRecordSource(Options options)
     : options_(std::move(options)),
       now_(OrSteadyClock(options_.now)),
-      rng_(options_.jitter_seed) {}
+      rng_(/*seed=*/1) {}
 
 uint64_t TcpRecordSource::bytes_consumed() const { return offset_; }
 
@@ -36,7 +38,7 @@ bool TcpRecordSource::TryConnect() {
   if (!sock.ok()) return false;
   // Reads bound each poll; writes (the request head) get a generous
   // fixed deadline so a wedged peer cannot hold the supervisor.
-  (void)sock->SetTimeouts(options_.read_timeout_ms, /*send_ms=*/2000);
+  (void)sock->SetTimeouts(kReadTimeoutMs, /*send_ms=*/2000);
   const std::string request = StrFormat(
       "GET %s HTTP/1.1\r\nHost: %s\r\nRange: bytes=%llu-\r\n"
       "Connection: keep-alive\r\n\r\n",
@@ -63,16 +65,9 @@ void TcpRecordSource::RecordFailure() {
     lost_ = true;
     return;
   }
-  // Jittered exponential backoff: base * 2^(failures-1), capped, scaled by
-  // a uniform factor in [0.5, 1) so a fleet of sources reconnecting to one
-  // revived feed does not stampede in lockstep.
-  double delay_ms = options_.backoff_base_ms;
-  for (uint64_t i = 1; i < consecutive_failures_ && delay_ms < options_.backoff_cap_ms;
-       ++i) {
-    delay_ms *= 2;
-  }
-  delay_ms = std::min(delay_ms, options_.backoff_cap_ms);
-  delay_ms *= 0.5 + 0.5 * rng_.NextDouble();
+  double delay_ms =
+      JitteredBackoffMs(options_.backoff_base_ms, options_.backoff_cap_ms,
+                        consecutive_failures_ - 1, rng_);
   next_attempt_s_ = now_() + delay_ms / 1000.0;
 }
 

@@ -80,14 +80,11 @@ class TcpRecordSource : public RecordSource {
     int port = 0;
     std::string path = "/";  // request target of the GET
     int connect_timeout_ms = 1000;
-    // Kernel read deadline — the longest one PollOnce() can block.
-    int read_timeout_ms = 10;
     // Consecutive failures (connects or disconnects with no payload in
     // between) before the job is declared lost. <= 0 never gives up.
     int disconnect_budget = 8;
     double backoff_base_ms = 50;
     double backoff_cap_ms = 2000;
-    uint64_t jitter_seed = 1;
     MonotonicClock now;  // injectable for deterministic backoff tests
   };
 

@@ -1,11 +1,11 @@
 #include "granula/live/retry_sink.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "common/socket.h"
 #include "common/strings.h"
+#include "granula/live/clock.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define GRANULA_HAVE_POPEN 1
@@ -145,7 +145,7 @@ RetryingAlertSink::RetryingAlertSink(std::unique_ptr<AlertDelivery> delivery,
                                      RetrySinkOptions options)
     : delivery_(std::move(delivery)),
       options_(std::move(options)),
-      rng_(options_.jitter_seed) {
+      rng_(/*seed=*/1) {
   if (options_.max_attempts == 0) options_.max_attempts = 1;
   worker_ = std::thread([this] { WorkerLoop(); });
 }
@@ -224,19 +224,11 @@ void RetryingAlertSink::WorkerLoop() {
         break;
       }
       if (attempt + 1 < options_.max_attempts) {
-        // Capped exponential backoff with jitter in [0.5, 1) of the step,
-        // so a flock of daemons does not hammer a recovering endpoint in
-        // phase. During shutdown the wait is cut short: remaining
-        // attempts fire back-to-back so a dead endpoint cannot hold the
-        // drain for the full backoff schedule.
-        double delay_ms = options_.backoff_base_ms;
-        for (uint32_t i = 0; i < attempt && delay_ms < options_.backoff_cap_ms;
-             ++i) {
-          delay_ms *= 2;
-        }
-        delay_ms = std::min(delay_ms, options_.backoff_cap_ms);
-        delay_ms *= 0.5 + 0.5 * rng_.NextDouble();
-        WaitBackoff(delay_ms);
+        // During shutdown the wait is cut short: remaining attempts fire
+        // back-to-back so a dead endpoint cannot hold the drain for the
+        // full backoff schedule.
+        WaitBackoff(JitteredBackoffMs(options_.backoff_base_ms,
+                                      options_.backoff_cap_ms, attempt, rng_));
       }
     }
     if (!delivered) DeadLetter(json, last, attempts_made);

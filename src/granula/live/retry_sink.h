@@ -79,7 +79,6 @@ struct RetrySinkOptions {
   uint32_t max_attempts = 4;
   double backoff_base_ms = 25;
   double backoff_cap_ms = 2000;
-  uint64_t jitter_seed = 1;
   // Bounded buffer between the monitoring loop and the delivery worker.
   // Overflowing alerts are dead-lettered immediately (counted, never
   // silently dropped).

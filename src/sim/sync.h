@@ -4,7 +4,6 @@
 #include <cassert>
 #include <coroutine>
 #include <deque>
-#include <optional>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -139,58 +138,6 @@ class Semaphore {
   Simulator* sim_;
   int64_t permits_;
   std::deque<std::coroutine_handle<>> waiters_;
-};
-
-// An unbounded FIFO channel between simulated processes. Receive suspends
-// until a message is available; Send never blocks. Used as the message
-// substrate of both platform engines.
-template <typename T>
-class Mailbox {
- public:
-  explicit Mailbox(Simulator* sim) : sim_(sim) {}
-  Mailbox(const Mailbox&) = delete;
-  Mailbox& operator=(const Mailbox&) = delete;
-
-  size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-
-  void Send(T item) {
-    items_.push_back(std::move(item));
-    if (!receivers_.empty()) {
-      ReceiveAwaiter* r = receivers_.front();
-      receivers_.pop_front();
-      r->value = std::move(items_.front());
-      items_.pop_front();
-      sim_->ScheduleResume(sim_->Now(), r->handle);
-    }
-  }
-
-  struct ReceiveAwaiter {
-    Mailbox* mailbox;
-    std::optional<T> value;
-    std::coroutine_handle<> handle;
-
-    bool await_ready() noexcept {
-      if (!mailbox->items_.empty() && mailbox->receivers_.empty()) {
-        value = std::move(mailbox->items_.front());
-        mailbox->items_.pop_front();
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      mailbox->receivers_.push_back(this);
-    }
-    T await_resume() noexcept { return std::move(*value); }
-  };
-
-  ReceiveAwaiter Receive() { return ReceiveAwaiter{this, std::nullopt, {}}; }
-
- private:
-  Simulator* sim_;
-  std::deque<T> items_;
-  std::deque<ReceiveAwaiter*> receivers_;
 };
 
 }  // namespace granula::sim

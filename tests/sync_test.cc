@@ -1,6 +1,5 @@
 #include "sim/sync.h"
 
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,74 +127,6 @@ TEST(SemaphoreTest, FifoOrdering) {
   }
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-Task<> Producer(Simulator& sim, Mailbox<int>& mb, int count) {
-  for (int i = 0; i < count; ++i) {
-    co_await sim.Delay(SimTime::Seconds(1));
-    mb.Send(i);
-  }
-}
-
-Task<> Consumer(Simulator& sim, Mailbox<int>& mb, int count,
-                std::vector<std::pair<int, double>>& received) {
-  for (int i = 0; i < count; ++i) {
-    int v = co_await mb.Receive();
-    received.push_back({v, sim.Now().seconds()});
-  }
-}
-
-TEST(MailboxTest, ProducerConsumer) {
-  Simulator sim;
-  Mailbox<int> mb(&sim);
-  std::vector<std::pair<int, double>> received;
-  sim.Spawn(Producer(sim, mb, 3));
-  sim.Spawn(Consumer(sim, mb, 3, received));
-  sim.Run();
-  ASSERT_EQ(received.size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(received[i].first, i);
-    EXPECT_DOUBLE_EQ(received[i].second, i + 1.0);
-  }
-  EXPECT_TRUE(mb.empty());
-}
-
-TEST(MailboxTest, BufferedSendsConsumedImmediately) {
-  Simulator sim;
-  Mailbox<std::string> mb(&sim);
-  mb.Send("a");
-  mb.Send("b");
-  EXPECT_EQ(mb.size(), 2u);
-  std::vector<std::string> got;
-  sim.Spawn([](Mailbox<std::string>& m, std::vector<std::string>& g)
-                -> Task<> {
-    g.push_back(co_await m.Receive());
-    g.push_back(co_await m.Receive());
-  }(mb, got));
-  sim.Run();
-  EXPECT_EQ(got, (std::vector<std::string>{"a", "b"}));
-}
-
-TEST(MailboxTest, MultipleReceiversServedInOrder) {
-  Simulator sim;
-  Mailbox<int> mb(&sim);
-  std::vector<std::pair<int, int>> got;  // (receiver, value)
-  for (int r = 0; r < 2; ++r) {
-    sim.Spawn([](Mailbox<int>& m, std::vector<std::pair<int, int>>& g,
-                 int id) -> Task<> {
-      int v = co_await m.Receive();
-      g.push_back({id, v});
-    }(mb, got, r));
-  }
-  sim.Spawn([](Simulator& s, Mailbox<int>& m) -> Task<> {
-    co_await s.Delay(SimTime::Seconds(1));
-    m.Send(100);
-    m.Send(200);
-  }(sim, mb));
-  sim.Run();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], (std::pair<int, int>{0, 100}));
-  EXPECT_EQ(got[1], (std::pair<int, int>{1, 200}));
 }
 
 }  // namespace

@@ -88,7 +88,9 @@ Result<bool> ParseHttpRequest(std::string_view buffer, HttpRequest* out,
                               size_t* consumed) {
   size_t header_end = buffer.find("\r\n\r\n");
   if (header_end == std::string_view::npos) {
-    if (buffer.size() > kMaxHeaderBytes) {
+    // The blank line may have arrived in part: up to 3 of its bytes can
+    // follow a header block that is still within the limit.
+    if (buffer.size() > kMaxHeaderBytes + 3) {
       return Status::InvalidArgument("request header block exceeds 16 KiB");
     }
     return false;  // need more bytes

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
+
+#include "common/random.h"
 
 namespace granula::serve {
 namespace {
@@ -131,6 +134,96 @@ TEST(HttpParseTest, OversizedBodyRejected) {
   auto parsed = Parse(
       "GET /x HTTP/1.1\r\nContent-Length: 10000000\r\n\r\n", &request);
   EXPECT_FALSE(parsed.ok());
+}
+
+// What the server relies on from an accepted request, whatever the bytes:
+// the parse stayed inside the buffer, the method is a token, the target is
+// origin-form and the body is within the limit. And the parse is
+// incremental: every proper prefix of the consumed bytes asks for more
+// bytes instead of failing, so a request trickling in byte by byte is
+// judged like one that arrived whole. Returns whether `buffer` held an
+// accepted request.
+bool ExpectSaneAcceptance(const std::string& buffer,
+                          size_t check_prefixes_from = 0) {
+  HttpRequest request;
+  size_t consumed = 0;
+  auto parsed = ParseHttpRequest(buffer, &request, &consumed);
+  if (!parsed.ok() || !*parsed) return false;
+  EXPECT_LE(consumed, buffer.size());
+  EXPECT_FALSE(request.method.empty());
+  for (unsigned char c : request.method) {
+    EXPECT_TRUE(c > ' ' && c < 127 &&
+                std::string_view("()<>@,;:\\\"/[]?={}").find(c) ==
+                    std::string_view::npos)
+        << "method byte " << static_cast<int>(c);
+  }
+  EXPECT_TRUE(!request.target.empty() && request.target[0] == '/')
+      << request.target;
+  EXPECT_LE(request.body.size(), kMaxBodyBytes);
+  for (size_t n = check_prefixes_from; n < consumed && n < buffer.size();
+       ++n) {
+    HttpRequest partial;
+    size_t partial_consumed = 0;
+    auto prefix = ParseHttpRequest(std::string_view(buffer).substr(0, n),
+                                   &partial, &partial_consumed);
+    EXPECT_TRUE(prefix.ok() && !*prefix)
+        << "prefix of " << n << " of " << consumed << " bytes: "
+        << (prefix.ok() ? "accepted" : prefix.status().ToString());
+  }
+  return true;
+}
+
+TEST(HttpParseTest, MutatedRequestsNeverCrashOrOverreach) {
+  const std::vector<std::string> seeds = {
+      "GET /archives?platform=giraph&status=complete HTTP/1.1\r\n"
+      "Host: localhost\r\nAccept: application/json\r\n\r\n",
+      "HEAD /archives/a%20b/subtree/1/2 HTTP/1.0\r\n\r\n",
+      "POST /jobs/x/records HTTP/1.1\r\nContent-Length: 11\r\n"
+      "Connection: close\r\n\r\n{\"seq\":1}\n\n",
+      "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\nRange: bytes=0-\r\n\r\n",
+  };
+  const std::vector<std::string> inserts = {
+      "\r", "\n", "\r\n", ":", "\r\n\r\n", " ", "%", "\0",
+      "Content-Length: 1048577\r\n", "Content-Length: 99999999999999999999\r\n",
+      "Content-Length: 18446744073709551615\r\n", "Content-Length: -1\r\n",
+      "Content-Length: 1048576\r\n", "Transfer-Encoding: chunked\r\n"};
+  Rng rng(18);
+  int accepted = 0;
+  for (int round = 0; round < 20000; ++round) {
+    std::string buffer = seeds[rng.NextBounded(seeds.size())];
+    const uint64_t mutations = 1 + rng.NextBounded(4);
+    for (uint64_t m = 0; m < mutations; ++m) {
+      const size_t at = rng.NextBounded(buffer.size() + 1);
+      switch (rng.NextBounded(3)) {
+        case 0:  // flip a byte
+          if (at < buffer.size()) {
+            buffer[at] = static_cast<char>(rng.NextBounded(256));
+          }
+          break;
+        case 1:  // truncate
+          buffer.resize(at);
+          break;
+        default:  // insert framing bytes or a hostile header
+          buffer.insert(at, inserts[rng.NextBounded(inserts.size())]);
+          break;
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    if (ExpectSaneAcceptance(buffer)) ++accepted;
+    if (testing::Test::HasFailure()) return;
+  }
+  // The acceptance checks must have had something to check.
+  EXPECT_GT(accepted, 1000);
+}
+
+// A header block of exactly the limit is accepted, so the prefixes that
+// hold all of it but only part of the blank line must wait, not fail.
+TEST(HttpParseTest, HeaderBlockAtTheLimitTricklesIn) {
+  std::string wire = "GET / HTTP/1.1\r\nX-Pad: ";
+  wire.append(kMaxHeaderBytes - wire.size(), 'a');
+  ASSERT_EQ(wire.size(), kMaxHeaderBytes);
+  wire += "\r\n\r\n";
+  EXPECT_TRUE(ExpectSaneAcceptance(wire, kMaxHeaderBytes - 8));
 }
 
 TEST(HttpSerializeTest, ResponseRoundTrip) {

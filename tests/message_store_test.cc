@@ -163,6 +163,25 @@ TEST(MessageStoreTest, PartitionCountsTrackCurrentDeliveries) {
   EXPECT_EQ(store.CurrentPartitionCount(1), 0u);
 }
 
+TEST(MessageStoreTest, PendingPartitionCountsCoverOnlyTheShardRange) {
+  std::vector<uint32_t> owner = {0, 0, 0, 0, 1, 1, 1, 1};
+  MessageStore store(8, algo::Combiner::kNone);
+  store.SetOwners(&owner, 2);
+  const uint64_t first = store.AddShards(2);
+  const uint64_t other = store.AddShards(1);
+  store.Deliver(first, 1, 1.0);
+  store.Deliver(first + 1, 6, 2.0);
+  store.Deliver(first + 1, 7, 3.0);
+  store.Deliver(other, 2, 4.0);
+  EXPECT_EQ(store.PendingPartitionCounts(first, 2),
+            (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(store.PendingPartitionCounts(other, 1),
+            (std::vector<uint64_t>{1, 0}));
+  store.Swap();
+  EXPECT_EQ(store.CurrentPartitionCount(0), 2u);
+  EXPECT_EQ(store.CurrentPartitionCount(1), 2u);
+}
+
 TEST(MessageStoreTest, ResidentBytesBoundedAfterBurst) {
   // Satellite fix: a high-water superstep must not pin its capacity. After
   // one burst of ~200k messages, later small supersteps must run with

@@ -18,19 +18,15 @@ namespace granula::cluster {
 // Sections 3.4 and 4.3).
 class YarnManager {
  public:
-  struct Options {
-    SimTime rm_heartbeat = SimTime::Millis(600);   // allocation round trip
-    SimTime container_launch = SimTime::Seconds(3.5);  // JVM + classpath
-    SimTime app_master_launch = SimTime::Seconds(4.0);
-    SimTime app_cleanup = SimTime::Seconds(2.0);
-  };
+  // allocation round trip
+  static constexpr SimTime kRmHeartbeat = SimTime::Millis(600);
+  // JVM + classpath
+  static constexpr SimTime kContainerLaunch = SimTime::Seconds(3.5);
+  static constexpr SimTime kAppMasterLaunch = SimTime::Seconds(4.0);
+  static constexpr SimTime kAppCleanup = SimTime::Seconds(2.0);
 
-  YarnManager(Cluster* cluster, Options options)
-      : cluster_(cluster),
-        options_(options),
-        rm_queue_(cluster->simulator(), 1) {}
-
-  const Options& options() const { return options_; }
+  explicit YarnManager(Cluster* cluster)
+      : cluster_(cluster), rm_queue_(cluster->simulator(), 1) {}
 
   struct Container {
     uint32_t node;
@@ -50,7 +46,6 @@ class YarnManager {
 
  private:
   Cluster* cluster_;
-  Options options_;
   sim::Semaphore rm_queue_;  // the RM handles one request at a time
   uint32_t next_container_id_ = 0;
 };
@@ -60,16 +55,13 @@ class YarnManager {
 // for exactly this reason.
 class MpiLauncher {
  public:
-  struct Options {
-    SimTime ssh_spawn = SimTime::Millis(600);  // per-rank process spawn
-    SimTime mpi_init = SimTime::Millis(1600);  // collective init
-    SimTime finalize = SimTime::Millis(1100);
-  };
+  // per-rank process spawn
+  static constexpr SimTime kSshSpawn = SimTime::Millis(600);
+  // collective init
+  static constexpr SimTime kMpiInit = SimTime::Millis(1600);
+  static constexpr SimTime kFinalize = SimTime::Millis(1100);
 
-  MpiLauncher(Cluster* cluster, Options options)
-      : cluster_(cluster), options_(options) {}
-
-  const Options& options() const { return options_; }
+  explicit MpiLauncher(Cluster* cluster) : cluster_(cluster) {}
 
   // Spawns one rank per node in [0, num_ranks) and runs MPI_Init.
   sim::Task<> LaunchRanks(uint32_t num_ranks);
@@ -77,7 +69,6 @@ class MpiLauncher {
 
  private:
   Cluster* cluster_;
-  Options options_;
 };
 
 // A ZooKeeper-like coordination service hosted on one node. Giraph uses it
@@ -85,12 +76,11 @@ class MpiLauncher {
 // round trip to the ZK node.
 class ZooKeeper {
  public:
-  struct Options {
-    SimTime op_latency = SimTime::Millis(8);  // znode create/watch RTT
-  };
+  // znode create/watch RTT
+  static constexpr SimTime kOpLatency = SimTime::Millis(8);
 
-  ZooKeeper(Cluster* cluster, uint32_t server_node, Options options)
-      : cluster_(cluster), server_node_(server_node), options_(options) {}
+  ZooKeeper(Cluster* cluster, uint32_t server_node)
+      : cluster_(cluster), server_node_(server_node) {}
 
   uint32_t server_node() const { return server_node_; }
   uint64_t operations() const { return operations_; }
@@ -101,7 +91,6 @@ class ZooKeeper {
  private:
   Cluster* cluster_;
   uint32_t server_node_;
-  Options options_;
   uint64_t operations_ = 0;
 };
 

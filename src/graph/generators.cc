@@ -70,12 +70,10 @@ Result<Graph> GenerateDatagen(const DatagenConfig& config) {
       config.avg_degree * static_cast<double>(n) / weight_sum;
   for (double& w : weight) w *= scale;
 
-  // Community assignment: round-robin over communities of skewed sizes.
-  uint64_t num_communities = config.num_communities;
-  if (num_communities == 0) {
-    num_communities = std::max<uint64_t>(
-        1, static_cast<uint64_t>(std::sqrt(static_cast<double>(n))));
-  }
+  // Community assignment: round-robin over sqrt(n) communities of skewed
+  // sizes.
+  const uint64_t num_communities = std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::sqrt(static_cast<double>(n))));
   std::vector<uint64_t> community(n);
   std::vector<std::vector<VertexId>> members(num_communities);
   for (uint64_t v = 0; v < n; ++v) {

@@ -19,7 +19,6 @@ struct DatagenConfig {
   uint64_t num_vertices = 1000000;
   double avg_degree = 15.0;        // dg1000 is ~30M persons / ~1B edges
   double degree_exponent = 1.25;   // Zipf exponent of expected degrees
-  uint64_t num_communities = 0;    // 0 = sqrt(num_vertices)
   double community_edge_fraction = 0.6;
   uint64_t seed = 42;
 };

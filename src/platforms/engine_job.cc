@@ -73,16 +73,15 @@ sim::Task<> EngineJob::RunPhases(OpId root) {
   co_await RunLoadGraph(root);
   if (!job_failed_) co_await RunProcessGraph(root);
   if (job_failed_) co_return;
-  if (job_config_.offload_results) co_await RunOffloadGraph(root);
+  co_await RunOffloadGraph(root);
   co_await RunCleanup(root);
 }
 
 OpId EngineJob::StartJobOperation(OpId parent, const char* mission_type,
                                   std::string mission_id) {
   if (mission_id.empty()) mission_id = mission_type;
-  return logger_.StartOperation(parent, core::ops::kJobActor,
-                                job_config_.job_id, mission_type,
-                                std::move(mission_id));
+  return logger_.StartOperation(parent, core::ops::kJobActor, kJobId,
+                                mission_type, std::move(mission_id));
 }
 
 sim::Task<> EngineJob::ForEachWorker(

@@ -82,7 +82,7 @@ sim::Task<> GasJob::RunRestart(OpId root) {
   OpId op = StartJobOperation(root, core::ops::kRestart,
                               StrFormat("Restart-%u", job_attempt_));
   co_await sim_.Delay(injector_.Backoff(job_attempt_ - 1));
-  co_await sim_.Delay(injector_.policy().resubmit_delay);
+  co_await sim_.Delay(sim::kResubmitDelay);
   SimTime lost = sim_.Now() - began;
   logger_.AddInfo(op, "Attempt", Json(static_cast<int64_t>(job_attempt_) + 1));
   logger_.AddInfo(op, "LostTime", Json(lost.nanos()));
@@ -159,7 +159,7 @@ sim::Task<> GasJob::RunProcessGraph(OpId root) {
     if (crash_pending_ && (done || iteration_ >= crash_at_iteration_)) {
       // The victim dies partway into the iteration; the engine notices
       // after the liveness timeout and aborts the whole job.
-      co_await sim_.Delay(crash_work_ + injector_.policy().detect_timeout);
+      co_await sim_.Delay(crash_work_ + sim::kDetectTimeout);
       done = true;
     }
     if (done) {

@@ -23,7 +23,7 @@ class GiraphJob : public PregelJob {
             const JobConfig& job_config)
       : PregelJob(graph, program, cluster_config, job_config),
         cost_(cost),
-        zk_(&cluster_, /*server_node=*/0, cluster::ZooKeeper::Options{}),
+        zk_(&cluster_, /*server_node=*/0),
         start_barrier_(&sim_, static_cast<int>(job_config.num_workers) + 1),
         end_barrier_(&sim_, static_cast<int>(job_config.num_workers) + 1) {}
 
@@ -228,7 +228,7 @@ class GiraphJob : public PregelJob {
                   static_cast<unsigned long long>(iteration_), attempt + 1));
     SimTime began = sim_.Now();
     co_await sim_.Delay(crash.work_before_crash);
-    co_await sim_.Delay(injector_.policy().detect_timeout);
+    co_await sim_.Delay(sim::kDetectTimeout);
     SimTime lost = sim_.Now() - began;
     logger_.AddInfo(failed, "Superstep", Json(iteration_));
     logger_.AddInfo(failed, "Attempt", Json(static_cast<int64_t>(attempt) + 1));

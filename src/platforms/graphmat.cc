@@ -25,7 +25,7 @@ class GraphMatJob : public GasJob {
       : GasJob(graph, program, cluster_config, job_config, "Rank"),
         cost_(cost),
         sharedfs_(&cluster_, /*server_node=*/0),
-        mpi_(&cluster_, cluster::MpiLauncher::Options{}) {}
+        mpi_(&cluster_) {}
 
  private:
   const char* JobName() const override { return "GraphMatJob"; }

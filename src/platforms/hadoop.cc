@@ -50,7 +50,7 @@ class HadoopJob : public PregelJob {
   // from the edge list.
   sim::Task<> RunLoadGraph(OpId root) override {
     OpId load = StartJobOperation(root, core::ops::kLoadGraph);
-    OpId op = logger_.StartOperation(load, "Job", job_config_.job_id,
+    OpId op = logger_.StartOperation(load, "Job", kJobId,
                                      "MaterializeState", "MaterializeState");
     co_await RunMrJob(op, /*is_materialize=*/true);
     logger_.AddInfo(op, "StateBytes", Json(state_bytes_));
@@ -93,9 +93,8 @@ class HadoopJob : public PregelJob {
     logger_.EndOperation(setup);
 
     // Map phase: all tasks in parallel.
-    OpId map_phase = logger_.StartOperation(job_op, "Job",
-                                            job_config_.job_id, "MapPhase",
-                                            "MapPhase");
+    OpId map_phase = logger_.StartOperation(job_op, "Job", kJobId,
+                                            "MapPhase", "MapPhase");
     map_output_bytes_.assign(job_config_.num_workers, 0);
     // Each map task's outbox shards (one per chunk of its partition),
     // reserved in task-index order before any task runs. The merge at
@@ -116,7 +115,7 @@ class HadoopJob : public PregelJob {
     logger_.EndOperation(map_phase);
 
     // Shuffle: map outputs cross the network to their reducers.
-    OpId shuffle = logger_.StartOperation(job_op, "Job", job_config_.job_id,
+    OpId shuffle = logger_.StartOperation(job_op, "Job", kJobId,
                                           "ShufflePhase", "ShufflePhase");
     co_await ForEachWorker(
         [this, shuffle](uint32_t task) { return ShuffleTask(shuffle, task); });
@@ -124,7 +123,7 @@ class HadoopJob : public PregelJob {
 
     // Reduce phase: merge, apply, and write the next state file.
     OpId reduce_phase = logger_.StartOperation(
-        job_op, "Job", job_config_.job_id, "ReducePhase", "ReducePhase");
+        job_op, "Job", kJobId, "ReducePhase", "ReducePhase");
     co_await ForEachWorker([this, reduce_phase](uint32_t task) {
       return ReduceTask(reduce_phase, task);
     });
@@ -158,7 +157,7 @@ class HadoopJob : public PregelJob {
         uint64_t input = state_bytes_ / job_config_.num_workers;
         co_await cluster_.node(WorkerNode(task)).disk().Transfer(input / 2);
         co_await sim_.Delay(fault->work_before_crash);
-        co_await sim_.Delay(injector_.policy().detect_timeout);
+        co_await sim_.Delay(sim::kDetectTimeout);
         co_await sim_.Delay(injector_.Backoff(attempt));
         SimTime lost = sim_.Now() - began;
         logger_.AddInfo(failed, "Iteration", Json(iteration_));

@@ -16,17 +16,17 @@
 
 namespace granula::platform {
 
+// Actor id of every engine's Job operations (the job root and its phases).
+inline constexpr char kJobId[] = "job-0";
+
 // Execution parameters common to both simulated platforms.
 struct JobConfig {
-  std::string job_id = "job-0";
   // Workers (Giraph containers / PowerGraph ranks); one per node.
   uint32_t num_workers = 8;
   // Parallel compute threads per worker (bounded by cores per node).
   int compute_threads = 8;
   // Environment-monitor sampling interval (paper Figs. 6-7 use ~1s).
   SimTime monitor_interval = SimTime::Seconds(1.0);
-  // Write result values back to storage (OffloadGraph phase).
-  bool offload_results = true;
   // PowerGraph only: use random (hash) vertex-cut instead of the greedy
   // heuristic — the baseline the PowerGraph paper compares against; used
   // by the partitioning ablation bench.

@@ -93,7 +93,7 @@ PregelJob::PregelJob(const graph::Graph& graph,
     : EngineJob(graph, cluster_config, job_config),
       program_(program),
       hdfs_(&cluster_, HdfsOptionsFor(cluster_config)),
-      yarn_(&cluster_, cluster::YarnManager::Options{}),
+      yarn_(&cluster_),
       messages_(graph.num_vertices(), program.combiner()) {}
 
 Status PregelJob::Setup() {

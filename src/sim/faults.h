@@ -75,6 +75,13 @@ struct FaultSpec {
   uint64_t net_value = 0;
 };
 
+// Time for the master/coordinator to notice a dead worker (heartbeat
+// timeout) — added to every crash's lost time.
+inline constexpr SimTime kDetectTimeout = SimTime::Seconds(2.0);
+// Abort-and-retry platforms: cluster resubmission latency on top of the
+// backoff.
+inline constexpr SimTime kResubmitDelay = SimTime::Millis(900);
+
 // How a platform reacts to failures. Carried inside the plan so wiring
 // a faulted run needs exactly one new JobConfig field.
 struct RetryPolicy {
@@ -83,15 +90,9 @@ struct RetryPolicy {
   // Exponential backoff between attempts: base * factor^retries.
   SimTime backoff_base = SimTime::Millis(600);
   double backoff_factor = 2.0;
-  // Time for the master/coordinator to notice a dead worker (heartbeat
-  // timeout) — added to every crash's lost time.
-  SimTime detect_timeout = SimTime::Seconds(2.0);
   // Giraph: checkpoint every k supersteps (k=0 disables checkpoints
   // even under a non-empty plan).
   uint64_t checkpoint_interval = 2;
-  // Abort-and-retry platforms: cluster resubmission latency on top of
-  // the backoff.
-  SimTime resubmit_delay = SimTime::Millis(900);
 };
 
 class FaultPlan {

@@ -65,7 +65,6 @@ cluster::ClusterConfig FastCluster() {
 JobConfig FastJob(uint32_t workers = 4) {
   JobConfig config;
   config.num_workers = workers;
-  config.offload_results = true;
   return config;
 }
 

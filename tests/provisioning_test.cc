@@ -16,10 +16,7 @@ ClusterConfig TestConfig() {
 TEST(YarnTest, ContainerAllocationTakesHeartbeatsPlusLaunch) {
   sim::Simulator sim;
   Cluster cluster(&sim, TestConfig());
-  YarnManager::Options opts;
-  opts.rm_heartbeat = SimTime::Seconds(1);
-  opts.container_launch = SimTime::Seconds(2);
-  YarnManager yarn(&cluster, opts);
+  YarnManager yarn(&cluster);
 
   std::vector<YarnManager::Container> containers;
   sim.Spawn([](YarnManager& y, std::vector<YarnManager::Container>& out)
@@ -28,9 +25,10 @@ TEST(YarnTest, ContainerAllocationTakesHeartbeatsPlusLaunch) {
   }(yarn, containers));
   sim.Run();
   ASSERT_EQ(containers.size(), 3u);
-  // 3 serialized heartbeats; last container starts launching at t=3 and
-  // takes 2s (launches overlap but are staggered): done at 5s.
-  EXPECT_DOUBLE_EQ(sim.Now().seconds(), 5.0);
+  // 3 serialized heartbeats; the last container starts launching after
+  // the third and takes one launch (launches overlap but are staggered).
+  EXPECT_EQ(sim.Now(),
+            YarnManager::kRmHeartbeat * 3 + YarnManager::kContainerLaunch);
   // Containers land on distinct nodes after the AM node.
   EXPECT_EQ(containers[0].node, 1u);
   EXPECT_EQ(containers[1].node, 2u);
@@ -40,8 +38,7 @@ TEST(YarnTest, ContainerAllocationTakesHeartbeatsPlusLaunch) {
 TEST(YarnTest, AllocationIsSlowerThanMpiLaunch) {
   sim::Simulator sim;
   Cluster cluster(&sim, TestConfig());
-  YarnManager yarn(&cluster, YarnManager::Options{});
-  MpiLauncher mpi(&cluster, MpiLauncher::Options{});
+  YarnManager yarn(&cluster);
 
   std::vector<YarnManager::Container> containers;
   sim.Spawn([](YarnManager& y,
@@ -54,7 +51,7 @@ TEST(YarnTest, AllocationIsSlowerThanMpiLaunch) {
 
   sim::Simulator sim2;
   Cluster cluster2(&sim2, TestConfig());
-  MpiLauncher mpi2(&cluster2, MpiLauncher::Options{});
+  MpiLauncher mpi2(&cluster2);
   sim2.Spawn([](MpiLauncher& m) -> sim::Task<> {
     co_await m.LaunchRanks(4);
   }(mpi2));
@@ -70,32 +67,28 @@ TEST(YarnTest, AllocationIsSlowerThanMpiLaunch) {
 TEST(MpiTest, RanksSpawnInParallel) {
   sim::Simulator sim;
   Cluster cluster(&sim, TestConfig());
-  MpiLauncher::Options opts;
-  opts.ssh_spawn = SimTime::Seconds(1);
-  opts.mpi_init = SimTime::Seconds(1);
-  MpiLauncher mpi(&cluster, opts);
+  MpiLauncher mpi(&cluster);
   sim.Spawn([](MpiLauncher& m) -> sim::Task<> {
     co_await m.LaunchRanks(4);
   }(mpi));
   sim.Run();
-  // Parallel spawn (1s + cpu 0.3s) then init: ~2.3s, far less than 4x.
-  EXPECT_LT(sim.Now().seconds(), 2.5);
-  EXPECT_GE(sim.Now().seconds(), 2.0);
+  // Parallel spawn (one spawn + 0.3 of it on the CPU) then init, far less
+  // than four serialized spawns.
+  EXPECT_LT(sim.Now(), MpiLauncher::kSshSpawn * 2 + MpiLauncher::kMpiInit);
+  EXPECT_GE(sim.Now(), MpiLauncher::kSshSpawn + MpiLauncher::kMpiInit);
 }
 
 TEST(ZooKeeperTest, OpsCostLatencyAndCountUp) {
   sim::Simulator sim;
   Cluster cluster(&sim, TestConfig());
-  ZooKeeper::Options opts;
-  opts.op_latency = SimTime::Millis(100);
-  ZooKeeper zk(&cluster, 0, opts);
+  ZooKeeper zk(&cluster, 0);
   sim.Spawn([](ZooKeeper& z) -> sim::Task<> {
     co_await z.Op(1);
     co_await z.Op(2);
   }(zk));
   sim.Run();
   EXPECT_EQ(zk.operations(), 2u);
-  EXPECT_GE(sim.Now().seconds(), 0.2);
+  EXPECT_GE(sim.Now(), ZooKeeper::kOpLatency * 2);
 }
 
 }  // namespace

@@ -10,44 +10,6 @@
 
 namespace granula::sim {
 
-// One-shot broadcast event. Waiters suspend until Trigger(); waits after the
-// trigger complete immediately. Resumptions go through the event queue so
-// wake-up order is deterministic.
-class Event {
- public:
-  explicit Event(Simulator* sim) : sim_(sim) {}
-  Event(const Event&) = delete;
-  Event& operator=(const Event&) = delete;
-
-  bool triggered() const { return triggered_; }
-
-  void Trigger() {
-    if (triggered_) return;
-    triggered_ = true;
-    for (std::coroutine_handle<> h : waiters_) {
-      sim_->ScheduleResume(sim_->Now(), h);
-    }
-    waiters_.clear();
-  }
-
-  auto Wait() {
-    struct Awaiter {
-      Event* event;
-      bool await_ready() const noexcept { return event->triggered_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        event->waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this};
-  }
-
- private:
-  Simulator* sim_;
-  bool triggered_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
-};
-
 // Reusable BSP barrier for `parties` participants. Every arrival suspends;
 // when the last party arrives, the whole generation is released at the
 // current simulation time. This is the synchronization point between Pregel

@@ -7,44 +7,6 @@
 namespace granula::sim {
 namespace {
 
-Task<> WaitForEvent(Event& ev, std::vector<int>& log, int id) {
-  co_await ev.Wait();
-  log.push_back(id);
-}
-
-TEST(EventTest, TriggerWakesAllWaiters) {
-  Simulator sim;
-  Event ev(&sim);
-  std::vector<int> log;
-  for (int i = 0; i < 3; ++i) sim.Spawn(WaitForEvent(ev, log, i));
-  sim.Spawn([](Simulator& s, Event& e) -> Task<> {
-    co_await s.Delay(SimTime::Seconds(1));
-    e.Trigger();
-  }(sim, ev));
-  sim.Run();
-  EXPECT_EQ(log, (std::vector<int>{0, 1, 2}));
-  EXPECT_TRUE(ev.triggered());
-}
-
-TEST(EventTest, WaitAfterTriggerIsImmediate) {
-  Simulator sim;
-  Event ev(&sim);
-  ev.Trigger();
-  std::vector<int> log;
-  sim.Spawn(WaitForEvent(ev, log, 7));
-  sim.Run();
-  EXPECT_EQ(log, (std::vector<int>{7}));
-  EXPECT_EQ(sim.Now(), SimTime());
-}
-
-TEST(EventTest, DoubleTriggerIsIdempotent) {
-  Simulator sim;
-  Event ev(&sim);
-  ev.Trigger();
-  ev.Trigger();
-  EXPECT_TRUE(ev.triggered());
-}
-
 Task<> BarrierWorker(Simulator& sim, Barrier& barrier, SimTime work,
                      std::vector<double>& release_times) {
   co_await sim.Delay(work);

@@ -1,7 +1,7 @@
-// Microbenchmark for batch archiving: ArchiveRepository::SaveAll across a
-// std::thread pool vs. N sequential Save() calls. Serialization dominates
-// the cost, so the batch path should scale with cores until the filesystem
-// saturates.
+// Microbenchmark for batch archiving: ArchiveRepository::SaveAll on the
+// host pool (swept with ThreadPool::Global().Resize()) vs. N sequential
+// Save() calls. Serialization dominates the cost, so the batch path should
+// scale with cores until the filesystem saturates.
 //
 //   build/bench/micro_archive_batch [--benchmark_filter=...]
 
@@ -11,6 +11,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/thread_axis.h"
+#include "common/thread_pool.h"
 #include "granula/archive/archiver.h"
 #include "granula/archive/repository.h"
 #include "granula/model/performance_model.h"
@@ -91,22 +93,21 @@ void BM_SaveAllThreaded(benchmark::State& state) {
   const auto& archives = BenchArchives();
   std::vector<const PerformanceArchive*> pointers;
   for (const auto& a : archives) pointers.push_back(&a);
-  int threads = static_cast<int>(state.range(0));
+  const int original = ThreadPool::Global().num_threads();
+  ThreadPool::Global().Resize(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     state.PauseTiming();
     ResetDir(BenchDir());
     ArchiveRepository repo(BenchDir());
     state.ResumeTiming();
-    auto names = repo.SaveAll(pointers, threads);
+    auto names = repo.SaveAll(pointers);
     if (!names.ok()) state.SkipWithError(names.status().ToString().c_str());
   }
+  ThreadPool::Global().Resize(original);
   state.SetItemsProcessed(state.iterations() * kJobs);
 }
 BENCHMARK(BM_SaveAllThreaded)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
+    ->Apply(ThreadAxis)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

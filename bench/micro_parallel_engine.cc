@@ -9,10 +9,10 @@
 // more pool threads than cores only measure oversubscription.
 
 #include <cstdint>
-#include <thread>
 
 #include <benchmark/benchmark.h>
 
+#include "bench/thread_axis.h"
 #include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -36,15 +36,6 @@ const graph::Graph& BigGraph() {
         std::move(graph::GenerateDatagen(config)).value());
   }();
   return *g;
-}
-
-// Host threads 1, 2, 4, 8, up to the host's core count.
-void ThreadAxis(benchmark::internal::Benchmark* b) {
-  const unsigned cores = std::thread::hardware_concurrency();
-  for (int threads = 1; threads <= 8; threads *= 2) {
-    if (threads > 1 && static_cast<unsigned>(threads) > cores) break;
-    b->Arg(threads);
-  }
 }
 
 algo::AlgorithmSpec PageRank(uint64_t iterations) {

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <mutex>
 #include <system_error>
-#include <thread>
 #include <utility>
 
 #include "common/mapped_file.h"
@@ -443,16 +442,15 @@ Result<std::string> ArchiveRepository::Save(
     std::vector<std::string> taken;
     name = AutoName(archive, &taken);
   }
-  GRANULA_RETURN_IF_ERROR(WriteBodies({name}, {&archive}, 1));
+  GRANULA_RETURN_IF_ERROR(WriteBodies({name}, {&archive}));
   return name;
 }
 
 Result<std::vector<std::string>> ArchiveRepository::SaveAll(
-    const std::vector<const PerformanceArchive*>& archives,
-    int num_threads) {
+    const std::vector<const PerformanceArchive*>& archives) {
   GRANULA_RETURN_IF_ERROR(Init());
   // Assign all names up front (single-threaded: auto-naming scans the
-  // directory), then fan the serialize+write work out to a thread pool.
+  // directory), then fan the serialize+write work out to the host pool.
   std::vector<std::string> names(archives.size());
   std::vector<std::string> taken;
   for (size_t i = 0; i < archives.size(); ++i) {
@@ -461,13 +459,13 @@ Result<std::vector<std::string>> ArchiveRepository::SaveAll(
     }
     names[i] = AutoName(*archives[i], &taken);
   }
-  GRANULA_RETURN_IF_ERROR(WriteBodies(names, archives, num_threads));
+  GRANULA_RETURN_IF_ERROR(WriteBodies(names, archives));
   return names;
 }
 
 Status ArchiveRepository::WriteBodies(
     const std::vector<std::string>& names,
-    const std::vector<const PerformanceArchive*>& archives, int num_threads) {
+    const std::vector<const PerformanceArchive*>& archives) {
   std::map<std::string, Entry> index = LoadIndex();
   GRANULA_RETURN_IF_ERROR(CheckNotLegacy(index));
   const int64_t saved = NowUnixSeconds();
@@ -486,24 +484,10 @@ Status ArchiveRepository::WriteBodies(
   // crash after the body rename from listing the old metadata.
   if (drop) GRANULA_RETURN_IF_ERROR(StoreIndex(index));
 
-  unsigned workers = num_threads > 0
-                         ? static_cast<unsigned>(num_threads)
-                         : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min<unsigned>(
-      workers, std::max<size_t>(archives.size(), size_t{1}));
   std::vector<Status> statuses(archives.size());
-  std::atomic<size_t> next{0};
-  auto worker = [&] {
-    for (size_t i = next.fetch_add(1); i < archives.size();
-         i = next.fetch_add(1)) {
-      statuses[i] = WriteAtomic(PathFor(names[i]), EncodeGba(*archives[i]));
-    }
-  };
-  // The calling thread is one of the workers, so Save() spawns none.
-  std::vector<std::thread> pool;
-  for (unsigned t = 1; t < workers; ++t) pool.emplace_back(worker);
-  worker();
-  for (std::thread& t : pool) t.join();
+  ParallelFor(0, archives.size(), 1, [&](uint64_t i, uint64_t, uint64_t) {
+    statuses[i] = WriteAtomic(PathFor(names[i]), EncodeGba(*archives[i]));
+  });
 
   // Index the writes that landed even when some failed: the index must
   // mirror the directory, not the batch's intent. Best-effort: the index

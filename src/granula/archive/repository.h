@@ -80,17 +80,16 @@ class ArchiveRepository {
   Result<std::string> Save(const PerformanceArchive& archive,
                            const std::string& name = "");
 
-  // Batch save: archives N jobs across a std::thread pool (serialization
-  // dominates the cost, so this scales with cores). Names are assigned
-  // up front, exactly as N sequential Save() calls would; the returned
-  // vector is parallel to `archives`. On any failure the first error is
-  // returned and the remaining archives are still attempted, so a batch
-  // never leaves half-written files behind. The index is updated once,
-  // after every body is durable. `num_threads` <= 0 picks the hardware
-  // concurrency.
+  // Batch save: encodes and writes N archives on the host pool
+  // (serialization dominates the cost, so this scales with
+  // GRANULA_HOST_THREADS). Names are assigned up front, exactly as N
+  // sequential Save() calls would; the returned vector is parallel to
+  // `archives`. On any failure the first error is returned and the
+  // remaining archives are still attempted, so a batch never leaves
+  // half-written files behind. The index is updated once, after every
+  // body is durable.
   Result<std::vector<std::string>> SaveAll(
-      const std::vector<const PerformanceArchive*>& archives,
-      int num_threads = 0);
+      const std::vector<const PerformanceArchive*>& archives);
 
   struct Entry {
     std::string name;
@@ -265,12 +264,12 @@ class ArchiveRepository {
   std::vector<Entry> Rebuild(const std::set<std::string>& disk,
                              std::map<std::string, Entry> cached) const;
 
-  // Encodes and writes one body per archive on up to `num_threads`
-  // threads, then indexes the bodies that landed (best-effort: the index
-  // is reconstructible). Returns the first write error.
+  // Encodes and writes one body per archive on the host pool (one
+  // archive per chunk, so a single archive runs on the calling thread),
+  // then indexes the bodies that landed (best-effort: the index is
+  // reconstructible). Returns the first write error.
   Status WriteBodies(const std::vector<std::string>& names,
-                     const std::vector<const PerformanceArchive*>& archives,
-                     int num_threads);
+                     const std::vector<const PerformanceArchive*>& archives);
 
   // Auto-name for `archive`: "<platform>-<algorithm>-<NNN>". `taken` keeps
   // names unique within one batch before anything reaches the disk.

@@ -56,7 +56,7 @@ TEST(RepositoryConcurrencyTest, SaveAllMatchesSequentialNaming) {
   std::vector<const PerformanceArchive*> pointers;
   for (const auto& a : archives) pointers.push_back(&a);
 
-  auto names = repo.SaveAll(pointers, /*num_threads=*/4);
+  auto names = repo.SaveAll(pointers);
   ASSERT_TRUE(names.ok()) << names.status();
   ASSERT_EQ(names->size(), 12u);
   EXPECT_EQ((*names)[0], "Giraph-BFS-001");
@@ -85,7 +85,7 @@ TEST(RepositoryConcurrencyTest, SaveAllAppendsAfterExistingRuns) {
   archives.push_back(MakeArchive("Giraph", 3));
   std::vector<const PerformanceArchive*> pointers{&archives[0],
                                                   &archives[1]};
-  auto names = repo.SaveAll(pointers, 2);
+  auto names = repo.SaveAll(pointers);
   ASSERT_TRUE(names.ok()) << names.status();
   EXPECT_EQ((*names)[0], "Giraph-BFS-002");
   EXPECT_EQ((*names)[1], "Giraph-BFS-003");
@@ -140,7 +140,7 @@ TEST(RepositoryConcurrencyTest, SaveLeavesNoTempFilesBehind) {
   PerformanceArchive archive = MakeArchive("Giraph", 2);
   ASSERT_TRUE(repo.Save(archive, "a").ok());
   std::vector<const PerformanceArchive*> pointers{&archive, &archive};
-  ASSERT_TRUE(repo.SaveAll(pointers, 2).ok());
+  ASSERT_TRUE(repo.SaveAll(pointers).ok());
   for (const auto& file : fs::directory_iterator(dir)) {
     EXPECT_NE(file.path().extension(), ".tmp") << file.path();
   }

@@ -181,7 +181,7 @@ TEST(RepositoryCrashTest, SavesOverwritesAndRemoves) {
       [&](ArchiveRepository& repo) -> Status {
         GRANULA_RETURN_IF_ERROR(repo.Save(a).status());
         GRANULA_RETURN_IF_ERROR(repo.Save(b, "named").status());
-        GRANULA_RETURN_IF_ERROR(repo.SaveAll({&a, &b, &c}, 2).status());
+        GRANULA_RETURN_IF_ERROR(repo.SaveAll({&a, &b, &c}).status());
         // An overwrite whose index entry changes.
         GRANULA_RETURN_IF_ERROR(repo.Save(changed, "named").status());
         GRANULA_RETURN_IF_ERROR(repo.Remove("Giraph-BFS-001"));
@@ -206,7 +206,7 @@ TEST(RepositoryCrashTest, PackOfALegacyDirectoryThenSaves) {
         GRANULA_RETURN_IF_ERROR(repo.Pack().status());
         GRANULA_RETURN_IF_ERROR(repo.Save(a).status());
         GRANULA_RETURN_IF_ERROR(repo.Remove("Pgxd-WCC-001"));
-        return repo.SaveAll({&b, &c}, 2).status();
+        return repo.SaveAll({&b, &c}).status();
       });
   EXPECT_GT(runs, 20u);
 }

@@ -51,6 +51,16 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       }
       return value;
     };
+    // WORKER and N are 32-bit: a larger number is an error, not a
+    // silently wrapped value.
+    auto part_u32 = [&](size_t i, uint32_t fallback) -> Result<uint32_t> {
+      GRANULA_ASSIGN_OR_RETURN(uint64_t value, part_u64(i, fallback));
+      if (value > UINT32_MAX) {
+        return Status::InvalidArgument("bad fault spec '" + one + "': '" +
+                                       parts[i] + "' is out of range");
+      }
+      return static_cast<uint32_t>(value);
+    };
     FaultSpec spec;
     const std::string& kind = parts[0];
     if (kind == "crash" || kind == "task") {
@@ -60,28 +70,23 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       }
       spec.kind = kind == "crash" ? FaultKind::kWorkerCrash
                                   : FaultKind::kTaskFailure;
-      GRANULA_ASSIGN_OR_RETURN(uint64_t worker, part_u64(1, 0));
+      GRANULA_ASSIGN_OR_RETURN(spec.worker, part_u32(1, 0));
       GRANULA_ASSIGN_OR_RETURN(spec.step, part_u64(2, 0));
-      GRANULA_ASSIGN_OR_RETURN(uint64_t failures, part_u64(3, 1));
-      spec.worker = static_cast<uint32_t>(worker);
-      spec.failures = static_cast<uint32_t>(failures);
+      GRANULA_ASSIGN_OR_RETURN(spec.failures, part_u32(3, 1));
     } else if (kind == "storage") {
       if (parts.size() < 2 || parts.size() > 3) {
         return Status::InvalidArgument(
             "--fault storage expects storage:WORKER[:N]");
       }
       spec.kind = FaultKind::kStorageError;
-      GRANULA_ASSIGN_OR_RETURN(uint64_t worker, part_u64(1, 0));
-      GRANULA_ASSIGN_OR_RETURN(uint64_t failures, part_u64(2, 1));
-      spec.worker = static_cast<uint32_t>(worker);
-      spec.failures = static_cast<uint32_t>(failures);
+      GRANULA_ASSIGN_OR_RETURN(spec.worker, part_u32(1, 0));
+      GRANULA_ASSIGN_OR_RETURN(spec.failures, part_u32(2, 1));
     } else if (kind == "netrefuse") {
       if (parts.size() > 2) {
         return Status::InvalidArgument("--fault netrefuse expects netrefuse[:N]");
       }
       spec.kind = FaultKind::kNetRefuse;
-      GRANULA_ASSIGN_OR_RETURN(uint64_t failures, part_u64(1, 1));
-      spec.failures = static_cast<uint32_t>(failures);
+      GRANULA_ASSIGN_OR_RETURN(spec.failures, part_u32(1, 1));
     } else if (kind == "netreset" || kind == "netslow") {
       if (parts.size() < 2 || parts.size() > 3) {
         return Status::InvalidArgument(
@@ -91,8 +96,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       spec.kind = kind == "netreset" ? FaultKind::kNetReset
                                      : FaultKind::kNetSlow;
       GRANULA_ASSIGN_OR_RETURN(spec.net_value, part_u64(1, 0));
-      GRANULA_ASSIGN_OR_RETURN(uint64_t failures, part_u64(2, 1));
-      spec.failures = static_cast<uint32_t>(failures);
+      GRANULA_ASSIGN_OR_RETURN(spec.failures, part_u32(2, 1));
     } else if (kind == "logdrop" || kind == "logtrunc") {
       if (parts.size() != 2) {
         return Status::InvalidArgument("--fault " + kind + " expects " +

@@ -1,10 +1,18 @@
 // Unit tests for the deterministic fault plan and its injector: attempt
 // coverage and ordering, backoff arithmetic, log-write fault lookup, and
-// determinism of the seeded random plan. The injector must stay a pure
-// function of the plan — every query here is repeated to prove it.
+// determinism of the seeded random plan, and the textual grammar under
+// hostile input. The injector must stay a pure function of the plan —
+// every query here is repeated to prove it.
+
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/strings.h"
 #include "sim/faults.h"
 
 namespace granula::sim {
@@ -221,6 +229,132 @@ TEST(FaultPlanTest, NetFaultCoversConnectionsInDeclarationOrder) {
   auto crash_plan = FaultPlan::Parse("crash:0:1");
   ASSERT_TRUE(crash_plan.ok());
   EXPECT_EQ(FaultInjector(*crash_plan).NetFault(0), nullptr);
+}
+
+TEST(FaultPlanTest, RejectsWorkerAndCountsPastThirtyTwoBits) {
+  // Both used to wrap: worker 1 and failures 0.
+  EXPECT_EQ(FaultPlan::Parse("crash:4294967297:1").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(FaultPlan::Parse("crash:0:1:4294967296").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(FaultPlan::Parse("storage:4294967296").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(FaultPlan::Parse("netslow:5:4294967296").status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The largest 32-bit values still parse, and STEP stays 64-bit.
+  auto edge = FaultPlan::Parse("task:4294967295:18446744073709551615:"
+                               "4294967295");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_EQ(edge->specs()[0].worker, 4294967295u);
+  EXPECT_EQ(edge->specs()[0].step, 18446744073709551615u);
+  EXPECT_EQ(edge->specs()[0].failures, 4294967295u);
+}
+
+// The decimal value of `text`, or nullopt when it is not a plain run of
+// digits or does not fit 64 bits.
+std::optional<uint64_t> Decimal(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+// Checks every field of an accepted `spec` against the numbers written in
+// `text`, its one comma-free SPEC.
+void ExpectFieldsMatchText(const FaultSpec& spec, const std::string& text) {
+  SCOPED_TRACE(text);
+  const std::vector<std::string> parts = StrSplit(text, ':');
+  auto number = [&](size_t i, uint64_t fallback) -> uint64_t {
+    if (i >= parts.size()) return fallback;
+    std::optional<uint64_t> value = Decimal(parts[i]);
+    EXPECT_TRUE(value.has_value()) << "accepted '" << parts[i] << "'";
+    return value.value_or(0);
+  };
+  const std::string& kind = parts[0];
+  if (kind == "crash" || kind == "task") {
+    EXPECT_EQ(spec.kind, kind == "crash" ? FaultKind::kWorkerCrash
+                                         : FaultKind::kTaskFailure);
+    EXPECT_EQ(spec.worker, number(1, 0));
+    EXPECT_EQ(spec.step, number(2, 0));
+    EXPECT_EQ(spec.failures, number(3, 1));
+  } else if (kind == "storage") {
+    EXPECT_EQ(spec.kind, FaultKind::kStorageError);
+    EXPECT_EQ(spec.worker, number(1, 0));
+    EXPECT_EQ(spec.failures, number(2, 1));
+  } else if (kind == "netrefuse") {
+    EXPECT_EQ(spec.kind, FaultKind::kNetRefuse);
+    EXPECT_EQ(spec.failures, number(1, 1));
+  } else if (kind == "netreset" || kind == "netslow") {
+    EXPECT_EQ(spec.kind, kind == "netreset" ? FaultKind::kNetReset
+                                            : FaultKind::kNetSlow);
+    EXPECT_EQ(spec.net_value, number(1, 0));
+    EXPECT_EQ(spec.failures, number(2, 1));
+  } else if (kind == "logdrop" || kind == "logtrunc") {
+    EXPECT_EQ(spec.kind, FaultKind::kLogWrite);
+    EXPECT_EQ(spec.log_effect, kind == "logdrop" ? LogWriteFault::kDrop
+                                                 : LogWriteFault::kTruncate);
+    EXPECT_EQ(spec.log_seq, number(1, 0));
+  } else {
+    ADD_FAILURE() << "accepted unknown kind '" << kind << "'";
+  }
+}
+
+TEST(FaultPlanTest, MutatedSpecsNeverCrashOrOverreach) {
+  const std::vector<std::string> seeds = {
+      "crash:2:1",
+      "task:0:3:2,storage:1:2",
+      "logdrop:40,logtrunc:60",
+      "netrefuse:2,netreset:1024,netslow:40:3",
+      "crash:0:1:4,storage:3,task:7:0",
+  };
+  const std::vector<std::string> inserts = {
+      ":", ",", "::", ",,", "0", "7", "-1", "+1", " ",
+      "4294967295", "4294967296", "18446744073709551615",
+      "18446744073709551616", "99999999999999999999", "crash:", "storage:"};
+  Rng rng(19);
+  int accepted = 0;
+  for (int round = 0; round < 20000; ++round) {
+    std::string text = seeds[rng.NextBounded(seeds.size())];
+    const uint64_t mutations = 1 + rng.NextBounded(3);
+    for (uint64_t m = 0; m < mutations; ++m) {
+      const size_t at = rng.NextBounded(text.size() + 1);
+      switch (rng.NextBounded(3)) {
+        case 0:  // flip a byte
+          if (at < text.size()) {
+            text[at] = static_cast<char>(rng.NextBounded(256));
+          }
+          break;
+        case 1:  // truncate
+          text.resize(at);
+          break;
+        default:  // insert a separator or a huge/negative number
+          text.insert(at, inserts[rng.NextBounded(inserts.size())]);
+          break;
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "round " << round << ": " << text);
+    Result<FaultPlan> plan = FaultPlan::Parse(text);
+    if (!plan.ok()) {
+      EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+    } else {
+      ++accepted;
+      const std::vector<std::string> specs = StrSplit(text, ',');
+      ASSERT_EQ(plan->specs().size(), specs.size());
+      for (size_t i = 0; i < specs.size(); ++i) {
+        ExpectFieldsMatchText(plan->specs()[i], specs[i]);
+      }
+    }
+    if (testing::Test::HasFailure()) return;
+  }
+  // The field checks must have had something to check (925 of the 20000
+  // mutants parse with this seed).
+  EXPECT_GT(accepted, 500);
 }
 
 }  // namespace

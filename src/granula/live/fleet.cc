@@ -163,7 +163,7 @@ void FleetSupervisor::Tick() {
   std::vector<Job*> jobs;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.ticks;
+    ++ticks_;
     jobs.reserve(jobs_.size());
     for (auto& [name, job] : jobs_) {
       if (!job->finalized) jobs.push_back(job.get());
@@ -178,7 +178,6 @@ void FleetSupervisor::EmitAlerts(Job* job, std::vector<LiveAlert> fresh) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     job->alert_count += fresh.size();
-    stats_.alerts += fresh.size();
     sinks = sinks_;
   }
   for (LiveAlert& alert : fresh) {
@@ -209,9 +208,7 @@ bool FleetSupervisor::PullRecords(Job* job) {
 
   std::lock_guard<std::mutex> lock(mu_);
   job->malformed += poll.malformed_lines;
-  stats_.malformed += poll.malformed_lines;
   job->records += pending.size();
-  stats_.records += pending.size();
   if (poll.rotated) {
     ++job->rotations;
     job->archive.reset();  // the old run's snapshot
@@ -325,11 +322,6 @@ void FleetSupervisor::FinalizeJob(Job* job, bool source_lost_alert) {
   job->queue.clear();
   if (job->source != nullptr) job->reconnects = job->source->reconnects();
   job->source.reset();  // closes the transport
-  if (state == JobState::kComplete) {
-    ++stats_.complete;
-  } else {
-    ++stats_.incomplete;
-  }
 }
 
 void FleetSupervisor::Drain() {
@@ -359,15 +351,22 @@ void FleetSupervisor::Drain() {
 
 FleetSupervisor::Stats FleetSupervisor::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  Stats out = stats_;
+  Stats out;
   out.jobs = jobs_.size();
-  out.active = 0;
-  out.shed_batches = 0;
-  out.shed_records = 0;
+  out.ticks = ticks_;
   for (const auto& [name, job] : jobs_) {
-    if (!job->finalized) ++out.active;
+    if (!job->finalized) {
+      ++out.active;
+    } else if (job->state == JobState::kComplete) {
+      ++out.complete;
+    } else {
+      ++out.incomplete;
+    }
+    out.records += job->records;
+    out.malformed += job->malformed;
     out.shed_batches += job->shed_batches;
     out.shed_records += job->shed_records;
+    out.alerts += job->alert_count;
   }
   return out;
 }

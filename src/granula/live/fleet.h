@@ -213,7 +213,7 @@ class FleetSupervisor {
 
   mutable std::mutex mu_;  // jobs_ map + every Job's queue/counters/state
   std::map<std::string, std::unique_ptr<Job>> jobs_;
-  Stats stats_;
+  uint64_t ticks_ = 0;
 
   std::vector<std::shared_ptr<AlertSink>> sinks_;
 

@@ -213,6 +213,31 @@ TEST(FleetSupervisorTest, FullQueueShedsExplicitlyAndCountsIt) {
   fleet.Drain();
 }
 
+TEST(FleetSupervisorTest, FleetTotalsAddUpThePushedJobs) {
+  std::vector<LogRecord> records = RealJobRecords();
+  FleetSupervisor fleet(MakePowerGraphModel(), FastOptions());
+  // A batch whose body had 3 malformed lines beside its records.
+  ASSERT_TRUE(
+      fleet.Ingest("job-m", std::vector<LogRecord>(records), 3).ok());
+  EXPECT_EQ(fleet.stats().malformed, 3u);  // counted before any tick
+  fleet.Tick();
+
+  FleetSupervisor::Stats stats = fleet.stats();
+  auto statuses = fleet.JobStatuses();
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_EQ(statuses[0].state, FleetSupervisor::JobState::kComplete);
+  EXPECT_EQ(statuses[0].malformed, 3u);
+  EXPECT_EQ(stats.malformed, statuses[0].malformed);
+  EXPECT_EQ(stats.records, statuses[0].records);
+  EXPECT_EQ(stats.records, records.size());
+  EXPECT_EQ(stats.alerts, statuses[0].alerts);
+  EXPECT_EQ(stats.complete, 1u);
+  EXPECT_EQ(stats.incomplete, 0u);
+  EXPECT_EQ(stats.ticks, 1u);
+  fleet.Drain();
+  EXPECT_EQ(fleet.stats().malformed, 3u);
+}
+
 TEST(FleetSupervisorTest, IngestAfterFinalizationIsRejected) {
   std::vector<LogRecord> records = RealJobRecords();
   FleetSupervisor fleet(MakePowerGraphModel(), FastOptions());

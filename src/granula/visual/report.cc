@@ -9,26 +9,6 @@ namespace granula::core {
 
 namespace {
 
-std::string HtmlEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 void AppendOperationRows(const ArchivedOperation& op, int depth,
                          int max_depth, double root_seconds,
                          std::string* out) {
@@ -36,7 +16,7 @@ void AppendOperationRows(const ArchivedOperation& op, int depth,
   *out += StrFormat(
       "<tr><td style=\"padding-left:%dpx\">%s</td><td>%s</td>"
       "<td>%s</td></tr>\n",
-      8 + depth * 18, HtmlEscape(op.DisplayName()).c_str(),
+      8 + depth * 18, EscapeMarkup(op.DisplayName()).c_str(),
       HumanSeconds(seconds).c_str(),
       root_seconds > 0 ? HumanPercent(seconds / root_seconds).c_str() : "");
   if (max_depth > 0 && depth + 1 >= max_depth) return;
@@ -51,7 +31,7 @@ std::string RenderHtmlReport(const PerformanceArchive& archive,
                              const ReportOptions& options) {
   std::string html;
   html += "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n";
-  html += "<title>" + HtmlEscape(options.title) + "</title>\n";
+  html += "<title>" + EscapeMarkup(options.title) + "</title>\n";
   html +=
       "<style>body{font-family:sans-serif;max-width:980px;margin:24px "
       "auto;color:#222}h2{border-bottom:1px solid #ccc;padding-bottom:4px}"
@@ -60,15 +40,15 @@ std::string RenderHtmlReport(const PerformanceArchive& archive,
       "margin:4px 0;border-left:4px solid #999;background:#f7f7f7}"
       ".critical{border-color:#c0392b}.warning{border-color:#e67e22}"
       "pre{background:#f2f2f2;padding:8px}</style></head><body>\n";
-  html += "<h1>" + HtmlEscape(options.title) + "</h1>\n";
+  html += "<h1>" + EscapeMarkup(options.title) + "</h1>\n";
 
   // Job metadata.
   html += "<h2>Job</h2>\n<table>\n";
   for (const auto& [key, value] : archive.job_metadata) {
-    html += "<tr><th>" + HtmlEscape(key) + "</th><td>" + HtmlEscape(value) +
+    html += "<tr><th>" + EscapeMarkup(key) + "</th><td>" + EscapeMarkup(value) +
             "</td></tr>\n";
   }
-  html += "<tr><th>model</th><td>" + HtmlEscape(archive.model_name) +
+  html += "<tr><th>model</th><td>" + EscapeMarkup(archive.model_name) +
           "</td></tr>\n";
   if (archive.root != nullptr) {
     html += StrFormat("<tr><th>total</th><td>%s</td></tr>\n",
@@ -93,7 +73,7 @@ std::string RenderHtmlReport(const PerformanceArchive& archive,
         RenderTimelineSvg(archive, options.timeline_actor_type,
                           options.timeline_mission_type);
     if (timeline.find("no operations") == std::string::npos) {
-      html += "<h2>" + HtmlEscape(options.timeline_actor_type) +
+      html += "<h2>" + EscapeMarkup(options.timeline_actor_type) +
               " timeline</h2>\n" + timeline;
     }
   }
@@ -114,8 +94,8 @@ std::string RenderHtmlReport(const PerformanceArchive& archive,
       html += StrFormat(
           "<div class=\"%s\"><b>%s</b> — %s<br>%s</div>\n", css,
           std::string(FindingKindName(finding.kind)).c_str(),
-          HtmlEscape(finding.operation).c_str(),
-          HtmlEscape(finding.description).c_str());
+          EscapeMarkup(finding.operation).c_str(),
+          EscapeMarkup(finding.description).c_str());
     }
   }
 

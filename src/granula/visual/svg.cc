@@ -20,26 +20,6 @@ constexpr const char* kPalette[] = {
 };
 constexpr int kPaletteSize = 10;
 
-std::string Escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 std::string MissionLabel(const ArchivedOperation& op) {
   return op.mission_id.empty() ? op.mission_type : op.mission_id;
 }
@@ -67,7 +47,7 @@ std::string RenderBreakdownSvg(const PerformanceArchive& archive, int width,
 
   svg += StrFormat(
       "<text x=\"%d\" y=\"22\" font-size=\"14\">%s — %s</text>\n", margin,
-      Escape(root.DisplayName()).c_str(), HumanSeconds(total).c_str());
+      EscapeMarkup(root.DisplayName()).c_str(), HumanSeconds(total).c_str());
 
   double x = margin;
   int color_index = 0;
@@ -86,13 +66,13 @@ std::string RenderBreakdownSvg(const PerformanceArchive& archive, int width,
           "<text x=\"%.1f\" y=\"%d\" fill=\"white\" "
           "text-anchor=\"middle\">%s</text>\n",
           x + w / 2, bar_y + bar_h / 2 + 4,
-          Escape(MissionLabel(*child)).c_str());
+          EscapeMarkup(MissionLabel(*child)).c_str());
     }
     legend += StrFormat(
         "<rect x=\"%.1f\" y=\"%d\" width=\"10\" height=\"10\" "
         "fill=\"%s\"/>\n<text x=\"%.1f\" y=\"%d\">%s %s (%s)</text>\n",
         legend_x, bar_y + bar_h + 36, color, legend_x + 14,
-        bar_y + bar_h + 45, Escape(MissionLabel(*child)).c_str(),
+        bar_y + bar_h + 45, EscapeMarkup(MissionLabel(*child)).c_str(),
         HumanSeconds(child->Duration().seconds()).c_str(),
         HumanPercent(fraction).c_str());
     legend_x += 180;
@@ -165,7 +145,7 @@ std::string RenderUtilizationSvg(const PerformanceArchive& archive, int width,
           "<text x=\"%.1f\" y=\"%d\" text-anchor=\"middle\" "
           "fill=\"#333\">%s</text>\n",
           (x0 + x1) / 2, margin_top - 8,
-          Escape(MissionLabel(*child)).c_str());
+          EscapeMarkup(MissionLabel(*child)).c_str());
       ++color_index;
     }
   }
@@ -188,7 +168,7 @@ std::string RenderUtilizationSvg(const PerformanceArchive& archive, int width,
         "<rect x=\"%.1f\" y=\"%d\" width=\"10\" height=\"10\" "
         "fill=\"%s\"/>\n<text x=\"%.1f\" y=\"%d\">%s</text>\n",
         legend_x, height - 24, color, legend_x + 14, height - 15,
-        Escape(samples.front()->hostname).c_str());
+        EscapeMarkup(samples.front()->hostname).c_str());
     legend_x += 100;
     ++color_index;
   }
@@ -264,7 +244,7 @@ std::string RenderTimelineSvg(const PerformanceArchive& archive,
     double y = margin_top + row * row_h;
     svg += StrFormat("<text x=\"%d\" y=\"%.1f\" text-anchor=\"end\">%s</text>\n",
                      margin_left - 6, y + row_h * 0.7,
-                     Escape(actor).c_str());
+                     EscapeMarkup(actor).c_str());
     for (const ArchivedOperation* op : ops) {
       std::string op_actor =
           op->actor_id.empty() ? op->actor_type : op->actor_id;
@@ -286,7 +266,7 @@ std::string RenderTimelineSvg(const PerformanceArchive& archive,
             std::max(0.5, x_of(child->EndTime().seconds()) -
                               x_of(child->StartTime().seconds())),
             row_h - 6, color_of[child->mission_type],
-            Escape(child->DisplayName()).c_str(),
+            EscapeMarkup(child->DisplayName()).c_str(),
             child->Duration().seconds());
       }
     }
@@ -300,14 +280,14 @@ std::string RenderTimelineSvg(const PerformanceArchive& archive,
       "<rect x=\"%.1f\" y=\"%d\" width=\"10\" height=\"10\" "
       "fill=\"#dddddd\"/>\n<text x=\"%.1f\" y=\"%d\">%s (wait)</text>\n",
       legend_x, legend_y, legend_x + 14, legend_y + 9,
-      Escape(mission_type).c_str());
+      EscapeMarkup(mission_type).c_str());
   legend_x += 150;
   for (const auto& [type, color] : color_of) {
     svg += StrFormat(
         "<rect x=\"%.1f\" y=\"%d\" width=\"10\" height=\"10\" "
         "fill=\"%s\"/>\n<text x=\"%.1f\" y=\"%d\">%s</text>\n",
         legend_x, legend_y, color, legend_x + 14, legend_y + 9,
-        Escape(type).c_str());
+        EscapeMarkup(type).c_str());
     legend_x += 120;
   }
   for (int tick = 0; tick <= 4; ++tick) {
@@ -359,7 +339,7 @@ std::string RenderComparisonSvg(const PerformanceArchive& baseline,
           "<rect x=\"%.1f\" y=\"%d\" width=\"%.1f\" height=\"%d\" "
           "fill=\"%s\" stroke=\"white\"><title>%s %s</title></rect>\n",
           x, y, w, bar_h, color_of[MissionLabel(*child)],
-          Escape(MissionLabel(*child)).c_str(),
+          EscapeMarkup(MissionLabel(*child)).c_str(),
           HumanSeconds(child->Duration().seconds()).c_str());
       x += w;
     }
@@ -406,7 +386,7 @@ std::string RenderComparisonSvg(const PerformanceArchive& baseline,
         "<rect x=\"%.1f\" y=\"%d\" width=\"10\" height=\"10\" "
         "fill=\"%s\"/>\n<text x=\"%.1f\" y=\"%d\">%s</text>\n",
         legend_x, height - 40, color, legend_x + 14, height - 31,
-        Escape(key).c_str());
+        EscapeMarkup(key).c_str());
     legend_x += 140;
   }
   for (int tick = 0; tick <= 4; ++tick) {
@@ -419,6 +399,26 @@ std::string RenderComparisonSvg(const PerformanceArchive& baseline,
   }
   svg += "</svg>\n";
   return svg;
+}
+
+std::string EscapeMarkup(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '&':
+        out += "&amp;";
+        break;
+      case '<':
+        out += "&lt;";
+        break;
+      case '>':
+        out += "&gt;";
+        break;
+      default:
+        out += c;
+    }
+  }
+  return out;
 }
 
 Status WriteSvgFile(const std::string& path, const std::string& svg) {

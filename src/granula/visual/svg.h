@@ -38,6 +38,9 @@ std::string RenderComparisonSvg(const PerformanceArchive& baseline,
 
 Status WriteSvgFile(const std::string& path, const std::string& svg);
 
+// Escapes &, < and > for SVG and HTML text; the HTML report uses it too.
+std::string EscapeMarkup(const std::string& s);
+
 }  // namespace granula::core
 
 #endif  // GRANULA_GRANULA_VISUAL_SVG_H_

@@ -18,6 +18,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/thread_axis.h"
 #include "common/thread_pool.h"
 #include "granula/monitor/job_logger.h"
 
@@ -131,7 +132,8 @@ BENCHMARK(BM_ParseJsonl)
 // ------------------------------------------------------ parallel ingest ----
 
 // End-to-end batch load (file read + line split + parse + concatenate)
-// against the host-thread axis; arg = thread count over a 1M-record log.
+// against the host-thread axis (ThreadAxis: up to the core count); arg =
+// thread count over a 1M-record log.
 void BM_ReadLogRecordsThreads(benchmark::State& state) {
   static const std::string* path = [] {
     auto* p = new std::string(
@@ -153,9 +155,7 @@ void BM_ReadLogRecordsThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000000);
 }
 BENCHMARK(BM_ReadLogRecordsThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(8)
+    ->Apply(ThreadAxis)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Micro-benchmarks for the Granula core: instrumentation overhead (the
-// cost a platform pays per logged operation), archiver throughput, archive
-// serialization, and query latency. These quantify the "efficiency of
-// fine-grained evaluation" concern (paper Issue 4): monitoring must be
-// cheap enough to leave on.
+// cost a platform pays per logged operation), lint and archiver
+// throughput, archive serialization, and query latency. These quantify
+// the "efficiency of fine-grained evaluation" concern (paper Issue 4):
+// monitoring must be cheap enough to leave on.
 
 #include <benchmark/benchmark.h>
 
 #include "granula/archive/archiver.h"
+#include "granula/archive/lint.h"
 #include "granula/models/models.h"
 #include "granula/monitor/job_logger.h"
 
@@ -84,6 +85,19 @@ void BM_LoggerAddInfo(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LoggerAddInfo);
+
+// The lint pass alone: the first stage of every Build.
+void BM_LintLog(benchmark::State& state) {
+  std::vector<LogRecord> records =
+      SyntheticLog(static_cast<int>(state.range(0)), 8);
+  for (auto _ : state) {
+    LintReport report = LintLog(records);
+    benchmark::DoNotOptimize(report);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(records.size()));
+}
+BENCHMARK(BM_LintLog)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_ArchiverBuild(benchmark::State& state) {
   std::vector<LogRecord> records =

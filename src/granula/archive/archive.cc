@@ -17,11 +17,11 @@ std::string ArchivedOperation::TypeKey() const {
 }
 
 bool ArchivedOperation::HasInfo(std::string_view name) const {
-  return infos.find(std::string(name)) != infos.end();
+  return infos.find(name) != infos.end();
 }
 
 const InfoValue* ArchivedOperation::FindInfo(std::string_view name) const {
-  auto it = infos.find(std::string(name));
+  auto it = infos.find(name);
   return it == infos.end() ? nullptr : &it->second;
 }
 

@@ -50,7 +50,7 @@ class ArchivedOperation {
   std::string mission_type;
   std::string mission_id;
 
-  std::map<std::string, InfoValue> infos;
+  std::map<std::string, InfoValue, std::less<>> infos;
   std::vector<std::unique_ptr<ArchivedOperation>> children;
 
   // "actor @ mission", e.g. "Worker-3 @ Superstep-4".

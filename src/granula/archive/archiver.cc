@@ -1,6 +1,7 @@
 #include "granula/archive/archiver.h"
 
 #include <memory>
+#include <optional>
 
 #include "common/strings.h"
 #include "granula/archive/assembly.h"
@@ -9,32 +10,35 @@ namespace granula::core {
 
 namespace {
 
-// Recursively assembles op `id` from the linted view. Operations missing
-// from `model` are spliced out: their children are hoisted into `out`
-// directly. Node construction and child ordering go through the shared
-// assembly core so streaming assembly (granula/live) matches byte-for-byte.
-void Assemble(uint64_t id, const LintedLog& linted,
+// Recursively assembles op `index` from the linted view. Operations
+// missing from `model` are spliced out: their children are hoisted into
+// `out` directly. Each node is finalized as soon as its children are, the
+// order the streaming archiver (granula/live) finalizes in; node
+// construction, child ordering and finalization go through the shared
+// assembly core so the two match byte-for-byte.
+void Assemble(uint32_t index, const LintedLog& linted,
               const PerformanceModel& model, bool* saw_unmodeled,
               std::vector<std::unique_ptr<ArchivedOperation>>* out) {
-  const LintedLog::Op& p = linted.ops.at(id);
+  const LintedLog::Op& p = linted.ops[index];
 
   std::vector<std::unique_ptr<ArchivedOperation>> children;
-  for (uint64_t child : p.children) {
+  for (uint32_t child : linted.ChildrenOf(p)) {
     Assemble(child, linted, model, saw_unmodeled, &children);
   }
 
-  bool modeled =
-      model.Contains(p.start->actor_type, p.start->mission_type);
-  if (!modeled) {
+  const OperationModel* op_model =
+      model.Find(p.start->actor_type, p.start->mission_type);
+  if (op_model == nullptr) {
     *saw_unmodeled = true;
     for (auto& child : children) out->push_back(std::move(child));
     return;
   }
 
-  std::unique_ptr<ArchivedOperation> op =
-      MakeOperationNode(*p.start, p.end_time, p.end_provenance, p.infos);
+  std::unique_ptr<ArchivedOperation> op = MakeOperationNode(
+      *p.start, p.end_time, p.end_provenance, linted.InfosOf(p));
   op->children = std::move(children);
   SortChildrenByStartTime(op.get());
+  FinalizeOperationNode(*op, *op_model);
   out->push_back(std::move(op));
 }
 
@@ -45,14 +49,15 @@ Result<PerformanceArchive> Archiver::Build(
     std::vector<EnvironmentRecord> environment,
     std::map<std::string, std::string> job_metadata) const {
   GRANULA_RETURN_IF_ERROR(model.Validate());
-  PerformanceModel effective =
-      options_.max_level > 0 ? model.WithMaxLevel(options_.max_level) : model;
+  std::optional<PerformanceModel> trimmed;
+  if (options_.max_level > 0) trimmed = model.WithMaxLevel(options_.max_level);
+  const PerformanceModel& effective = trimmed ? *trimmed : model;
 
   LintedLog linted = LintAndRepair(records);
   if (options_.tolerance == Tolerance::kStrict && linted.report.HasFatal()) {
     return Status::Corruption(linted.report.Summary());
   }
-  if (linted.root == kNoOp) {
+  if (linted.root == LintedLog::kNone) {
     return Status::Corruption("log contains no root operation");
   }
 
@@ -74,14 +79,13 @@ Result<PerformanceArchive> Archiver::Build(
   // a log truncated mid-run): lint repairs the timestamp so assembly can
   // proceed, and the archive is marked incomplete rather than carrying
   // only a generic defect string.
-  if (!linted.ops.at(linted.root).end_time.has_value()) {
+  if (!linted.ops[linted.root].end_time.has_value()) {
     archive.status = ArchiveStatus::kIncomplete;
   }
   archive.root = std::move(assembled[0]);
   archive.environment = std::move(environment);
   archive.job_metadata = std::move(job_metadata);
   archive.lint = std::move(linted.report);
-  FinalizeOperationTree(*archive.root, effective);
   return archive;
 }
 

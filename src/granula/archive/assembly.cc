@@ -1,13 +1,14 @@
 #include "granula/archive/assembly.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace granula::core {
 
 std::unique_ptr<ArchivedOperation> MakeOperationNode(
     const LogRecord& start, const std::optional<SimTime>& end_time,
-    const std::string& end_provenance,
-    const std::vector<const LogRecord*>& infos) {
+    std::string_view end_provenance,
+    std::span<const LogRecord* const> infos) {
   auto op = std::make_unique<ArchivedOperation>();
   op->actor_type = start.actor_type;
   op->actor_id = start.actor_id;
@@ -15,8 +16,9 @@ std::unique_ptr<ArchivedOperation> MakeOperationNode(
   op->mission_id = start.mission_id;
   op->SetInfo("StartTime", Json(start.time.nanos()), "platform log");
   if (end_time.has_value()) {
-    op->SetInfo("EndTime", Json(end_time->nanos()),
-                "platform log" + end_provenance);
+    std::string source = "platform log";
+    source += end_provenance;
+    op->SetInfo("EndTime", Json(end_time->nanos()), std::move(source));
   }
   for (const LogRecord* info : infos) {
     op->SetInfo(info->info_name, info->info_value, "platform log");
@@ -25,14 +27,33 @@ std::unique_ptr<ArchivedOperation> MakeOperationNode(
 }
 
 void SortChildrenByStartTime(ArchivedOperation* op) {
-  std::stable_sort(op->children.begin(), op->children.end(),
+  auto& children = op->children;
+  if (children.size() < 2) return;
+  // Children nearly always arrive in start order already: check that with
+  // one StartTime lookup per child before paying for a keyed sort.
+  SimTime last = children[0]->StartTime();
+  size_t i = 1;
+  for (; i < children.size(); ++i) {
+    SimTime start = children[i]->StartTime();
+    if (start < last) break;
+    last = start;
+  }
+  if (i == children.size()) return;
+  std::vector<std::pair<SimTime, std::unique_ptr<ArchivedOperation>>> keyed;
+  keyed.reserve(children.size());
+  for (auto& child : children) {
+    SimTime start = child->StartTime();
+    keyed.emplace_back(start, std::move(child));
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
                    [](const auto& a, const auto& b) {
-                     return a->StartTime() < b->StartTime();
+                     return a.first < b.first;
                    });
+  for (i = 0; i < keyed.size(); ++i) children[i] = std::move(keyed[i].second);
 }
 
 void FinalizeOperationNode(ArchivedOperation& op,
-                           const PerformanceModel& model) {
+                           const OperationModel& op_model) {
   SimTime child_max_end;
   for (const auto& child : op.children) {
     child_max_end = std::max(child_max_end, child->EndTime());
@@ -42,21 +63,13 @@ void FinalizeOperationNode(ArchivedOperation& op,
     op.SetInfo("EndTime", Json(repaired.nanos()),
                "max end of subtree (repaired)");
   }
-  const OperationModel* op_model = model.Find(op.actor_type, op.mission_type);
-  if (op_model == nullptr) return;
-  for (const InfoRulePtr& rule : op_model->rules) {
+  for (const InfoRulePtr& rule : op_model.rules) {
     Result<Json> derived = rule->Derive(op);
     if (derived.ok()) {
       op.SetInfo(rule->info_name(), std::move(derived).value(),
                  rule->Describe());
     }
   }
-}
-
-void FinalizeOperationTree(ArchivedOperation& op,
-                           const PerformanceModel& model) {
-  for (auto& child : op.children) FinalizeOperationTree(*child, model);
-  FinalizeOperationNode(op, model);
 }
 
 }  // namespace granula::core

@@ -3,7 +3,8 @@
 
 #include <memory>
 #include <optional>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -27,8 +28,8 @@ namespace granula::core {
 // attached and ordered separately.
 std::unique_ptr<ArchivedOperation> MakeOperationNode(
     const LogRecord& start, const std::optional<SimTime>& end_time,
-    const std::string& end_provenance,
-    const std::vector<const LogRecord*>& infos);
+    std::string_view end_provenance,
+    std::span<const LogRecord* const> infos);
 
 // Canonical child order: stable sort by StartTime over a start-seq ordered
 // input vector. Callers must present children in start-record seq order
@@ -37,16 +38,12 @@ void SortChildrenByStartTime(ArchivedOperation* op);
 
 // Finalizes ONE operation whose children are already finalized: repairs a
 // missing EndTime with max(StartTime, max child EndTime) and runs the
-// model's info-derivation rules. The batch archiver applies it post-order
-// over the full tree; the streaming archiver applies it once per operation
-// at eviction time (children are always evicted first, so the two orders
-// see identical subtrees).
+// info-derivation rules of `op_model`, the operation's model. Both
+// archivers apply it once per operation, right after its children (the
+// batch archiver during assembly, the streaming archiver at eviction), so
+// the two orders see identical subtrees.
 void FinalizeOperationNode(ArchivedOperation& op,
-                           const PerformanceModel& model);
-
-// Post-order FinalizeOperationNode over the whole subtree.
-void FinalizeOperationTree(ArchivedOperation& op,
-                           const PerformanceModel& model);
+                           const OperationModel& op_model);
 
 }  // namespace granula::core
 

@@ -1,7 +1,7 @@
 #include "granula/archive/gba.h"
 
 #include <cstring>
-#include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,33 +39,33 @@ void PatchU64(std::string& out, size_t pos, uint64_t v) {
 }
 
 // First-encounter-order string interning. Deterministic for a given
-// archive: the walk order below never depends on memory layout.
+// archive: the walk order below never depends on memory layout, and the
+// hash table only answers "seen before?" — ids come from `order_`. Every
+// interned string is a view into the archive being encoded (or a static
+// name), which outlives the table.
 class SymbolTable {
  public:
   uint32_t Intern(std::string_view s) {
-    auto it = index_.find(s);
-    if (it != index_.end()) return it->second;
-    uint32_t id = static_cast<uint32_t>(order_.size());
-    auto [pos, inserted] = index_.emplace(std::string(s), id);
-    (void)inserted;
-    order_.push_back(&pos->first);
-    return id;
+    auto [it, inserted] =
+        index_.try_emplace(s, static_cast<uint32_t>(order_.size()));
+    if (inserted) order_.push_back(s);
+    return it->second;
   }
 
   void Serialize(std::string& out) const {
     PutU32(out, static_cast<uint32_t>(order_.size()));
     uint64_t off = 0;
-    for (const std::string* s : order_) {
+    for (std::string_view s : order_) {
       PutU64(out, off);
-      off += s->size();
+      off += s.size();
     }
     PutU64(out, off);  // offsets[count] == blob length
-    for (const std::string* s : order_) out.append(*s);
+    for (std::string_view s : order_) out.append(s);
   }
 
  private:
-  std::map<std::string, uint32_t, std::less<>> index_;
-  std::vector<const std::string*> order_;
+  std::unordered_map<std::string_view, uint32_t> index_;
+  std::vector<std::string_view> order_;
 };
 
 void EncodeValue(const Json& v, SymbolTable& syms, std::string& blob) {

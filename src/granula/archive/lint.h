@@ -2,8 +2,8 @@
 #define GRANULA_GRANULA_ARCHIVE_LINT_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,29 +73,53 @@ struct LintReport {
 };
 
 // The linted — and, where possible, repaired — view of a log stream: the
-// records that survive quarantine, indexed per operation and ready for
-// tree assembly. Pointers alias into the input record vector.
+// operations that survive quarantine in ascending op-id order, each with
+// its records and the indices of its children, ready for tree assembly.
+// Pointers alias into the input record vector.
 struct LintedLog {
+  static constexpr uint32_t kNone = UINT32_MAX;
+
   struct Op {
     const LogRecord* start = nullptr;
     std::optional<SimTime> end_time;
-    std::vector<const LogRecord*> infos;  // in seq order
-    std::vector<uint64_t> children;       // in start-record seq order
     // Provenance suffix for EndTime when a repair touched it, e.g.
     // " (duplicate EndOp quarantined)". Empty when the log was clean.
-    std::string end_provenance;
+    std::string_view end_provenance;
+    uint32_t info_begin = 0, info_end = 0;    // run in `infos`
+    uint32_t child_begin = 0, child_end = 0;  // run in `children`
   };
 
+  // This op's info records, in seq order.
+  std::span<const LogRecord* const> InfosOf(const Op& op) const {
+    return {infos.data() + op.info_begin, infos.data() + op.info_end};
+  }
+  // Indices into `ops` of this op's children, in start-record seq order.
+  std::span<const uint32_t> ChildrenOf(const Op& op) const {
+    return {children.data() + op.child_begin,
+            children.data() + op.child_end};
+  }
+
   LintReport report;
-  std::map<uint64_t, Op> ops;  // survivors only
-  uint64_t root = kNoOp;       // chosen primary root; kNoOp when none
+  std::vector<Op> ops;                   // survivors only
+  std::vector<const LogRecord*> infos;   // per-op runs
+  std::vector<uint32_t> children;        // per-op runs
+  uint32_t root = kNone;  // index of the primary root; kNone when none
 };
+
+// "actor @ mission" of a StartOp, ids preferred over types — the name lint
+// findings give an operation.
+std::string OpName(const LogRecord& start);
+
+// The report order: by (seq, op_id, defect, detail), whatever order the
+// findings were raised in.
+void SortFindings(std::vector<LintFinding>* findings);
 
 // Classifies every defect in `records` and computes the best-effort
 // repaired view: first record wins on duplicates, inverted/duplicate ends
 // and orphan records are dropped, and of several roots the one with the
 // largest subtree (ties: lowest seq) is kept. Deterministic for any input
-// order — decisions key on record seq, never on array position.
+// order — decisions key on (op id, record seq), never on array position or
+// container order.
 LintedLog LintAndRepair(const std::vector<LogRecord>& records);
 
 // Classification only (same findings, without the repaired view).

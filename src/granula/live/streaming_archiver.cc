@@ -9,29 +9,6 @@
 
 namespace granula::core {
 
-namespace {
-
-std::string OpName(const LogRecord& start) {
-  const std::string& actor =
-      start.actor_id.empty() ? start.actor_type : start.actor_id;
-  const std::string& mission =
-      start.mission_id.empty() ? start.mission_type : start.mission_id;
-  return actor + " @ " + mission;
-}
-
-// Same deterministic report order the batch lint pass produces.
-void SortFindings(std::vector<LintFinding>* findings) {
-  std::sort(findings->begin(), findings->end(),
-            [](const LintFinding& a, const LintFinding& b) {
-              if (a.seq != b.seq) return a.seq < b.seq;
-              if (a.op_id != b.op_id) return a.op_id < b.op_id;
-              if (a.defect != b.defect) return a.defect < b.defect;
-              return a.detail < b.detail;
-            });
-}
-
-}  // namespace
-
 StreamingArchiver::StreamingArchiver(PerformanceModel model, Options options)
     : model_(options.max_level > 0 ? model.WithMaxLevel(options.max_level)
                                    : model),
@@ -207,7 +184,9 @@ StreamingArchiver::Contribution StreamingArchiver::BuildContribution(
                          c.name.c_str()));
   }
 
-  if (!model_.Contains(op.start.actor_type, op.start.mission_type)) {
+  const OperationModel* op_model =
+      model_.Find(op.start.actor_type, op.start.mission_type);
+  if (op_model == nullptr) {
     // Unmodeled: splice out, hoisting modeled descendants in start order —
     // the same concatenation-without-sorting the batch Assemble performs.
     for (Contribution& child : op.done_children) {
@@ -230,7 +209,7 @@ StreamingArchiver::Contribution StreamingArchiver::BuildContribution(
     for (auto& n : child.nodes) node->children.push_back(std::move(n));
   }
   SortChildrenByStartTime(node.get());
-  FinalizeOperationNode(*node, model_);
+  FinalizeOperationNode(*node, *op_model);
   c.nodes.push_back(std::move(node));
   return c;
 }

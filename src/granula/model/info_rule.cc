@@ -53,7 +53,12 @@ class ChildAggregateRule : public InfoRule {
       : name_(std::move(info_name)),
         agg_(agg),
         child_info_(std::move(child_info)),
-        child_mission_type_(std::move(child_mission_type)) {}
+        child_mission_type_(std::move(child_mission_type)),
+        description_(StrFormat("%s of %s over children%s%s",
+                               AggregateName(agg_), child_info_.c_str(),
+                               child_mission_type_.empty() ? ""
+                                                           : " of type ",
+                               child_mission_type_.c_str())) {}
 
   const std::string& info_name() const override { return name_; }
 
@@ -93,25 +98,22 @@ class ChildAggregateRule : public InfoRule {
     return Status::Internal("bad aggregate");
   }
 
-  std::string Describe() const override {
-    return StrFormat("%s of %s over children%s%s", AggregateName(agg_),
-                     child_info_.c_str(),
-                     child_mission_type_.empty() ? "" : " of type ",
-                     child_mission_type_.c_str());
-  }
+  std::string Describe() const override { return description_; }
 
  private:
   std::string name_;
   Aggregate agg_;
   std::string child_info_;
   std::string child_mission_type_;
+  std::string description_;
 };
 
 class RateRule : public InfoRule {
  public:
   RateRule(std::string info_name, std::string numerator_info)
       : name_(std::move(info_name)),
-        numerator_info_(std::move(numerator_info)) {}
+        numerator_info_(std::move(numerator_info)),
+        description_(numerator_info_ + " / Duration") {}
 
   const std::string& info_name() const override { return name_; }
 
@@ -125,13 +127,12 @@ class RateRule : public InfoRule {
     return Json(numerator->value.AsDouble() / seconds);
   }
 
-  std::string Describe() const override {
-    return numerator_info_ + " / Duration";
-  }
+  std::string Describe() const override { return description_; }
 
  private:
   std::string name_;
   std::string numerator_info_;
+  std::string description_;
 };
 
 class CustomRule : public InfoRule {

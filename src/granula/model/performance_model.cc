@@ -1,10 +1,41 @@
 #include "granula/model/performance_model.h"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "common/strings.h"
 
 namespace granula::core {
+
+namespace {
+
+// A model key ("actor@mission") given as its two halves, so a lookup
+// orders it against the stored keys without building the concatenation.
+struct TypeKey {
+  std::string_view actor;
+  std::string_view mission;
+};
+
+// Three-way comparison of `key` with actor + "@" + mission.
+int Compare(std::string_view key, const TypeKey& type) {
+  for (std::string_view piece : {type.actor, std::string_view("@"),
+                                 type.mission}) {
+    std::string_view head = key.substr(0, piece.size());
+    if (int c = head.compare(piece.substr(0, head.size())); c != 0) return c;
+    if (head.size() < piece.size()) return -1;
+    key.remove_prefix(piece.size());
+  }
+  return key.empty() ? 0 : 1;
+}
+
+bool operator<(const std::string& key, const TypeKey& type) {
+  return Compare(key, type) < 0;
+}
+bool operator<(const TypeKey& type, const std::string& key) {
+  return Compare(key, type) > 0;
+}
+
+}  // namespace
 
 Status PerformanceModel::AddRoot(std::string actor_type,
                                  std::string mission_type) {
@@ -61,13 +92,13 @@ Status PerformanceModel::AddRule(const std::string& actor_type,
 }
 
 const OperationModel* PerformanceModel::Find(
-    const std::string& actor_type, const std::string& mission_type) const {
-  auto it = operations_.find(actor_type + "@" + mission_type);
+    std::string_view actor_type, std::string_view mission_type) const {
+  auto it = operations_.find(TypeKey{actor_type, mission_type});
   return it == operations_.end() ? nullptr : &it->second;
 }
 
-bool PerformanceModel::Contains(const std::string& actor_type,
-                                const std::string& mission_type) const {
+bool PerformanceModel::Contains(std::string_view actor_type,
+                                std::string_view mission_type) const {
   return Find(actor_type, mission_type) != nullptr;
 }
 

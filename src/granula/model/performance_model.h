@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -58,13 +59,14 @@ class PerformanceModel {
   Status AddRule(const std::string& actor_type,
                  const std::string& mission_type, InfoRulePtr rule);
 
-  const OperationModel* Find(const std::string& actor_type,
-                             const std::string& mission_type) const;
-  bool Contains(const std::string& actor_type,
-                const std::string& mission_type) const;
+  const OperationModel* Find(std::string_view actor_type,
+                             std::string_view mission_type) const;
+  bool Contains(std::string_view actor_type,
+                std::string_view mission_type) const;
 
   const OperationModel* root() const;
-  const std::map<std::string, OperationModel>& operations() const {
+  const std::map<std::string, OperationModel, std::less<>>& operations()
+      const {
     return operations_;
   }
   int max_level() const;
@@ -79,7 +81,7 @@ class PerformanceModel {
 
  private:
   std::string name_;
-  std::map<std::string, OperationModel> operations_;
+  std::map<std::string, OperationModel, std::less<>> operations_;
   std::string root_key_;
 };
 

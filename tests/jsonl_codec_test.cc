@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "granula/monitor/job_logger.h"
 #include "graph/generators.h"
@@ -253,6 +254,58 @@ std::string SerializeAll(const std::vector<LogRecord>& records) {
     out += '\n';
   }
   return out;
+}
+
+// Hostile bytes: seeded mutations of canonical lines (byte flips,
+// truncations, inserted JSON-significant tokens) must be accepted or
+// rejected exactly as the DOM path does, with the same record or the same
+// error. Mutated lines that stay canonical exercise the fast scan itself.
+TEST(JsonlCodecTest, MutatedCanonicalLinesMatchDomPath) {
+  std::vector<std::string> lines;
+  for (const LogRecord& r : MakeMixedLog(2)) lines.push_back(FastLine(r));
+  const std::vector<std::string> inserts = {
+      "\"", "\\", "{", "}", "[", "]", ",", ":", " ", "-", ".", "e", "0",
+      "9", std::string(1, '\0'), "\xff", "\xc3", "\\u0000", "\\ud800",
+      "\\uDC00", ",\"op\":7", ",\"seq\":-1", ",\"kind\":\"end\"",
+      "99999999999999999999", "18446744073709551616", "-9223372036854775809",
+      "1e309", "-0", "0.5", "null", "true", "\"kind\":\"info\","};
+  Rng rng(20);
+  int accepted = 0;
+  int rejected = 0;
+  for (int round = 0; round < 20000; ++round) {
+    std::string line = lines[rng.NextBounded(lines.size())];
+    const uint64_t mutations = 1 + rng.NextBounded(3);
+    for (uint64_t m = 0; m < mutations; ++m) {
+      const size_t at = rng.NextBounded(line.size() + 1);
+      switch (rng.NextBounded(3)) {
+        case 0:  // flip a byte
+          if (at < line.size()) {
+            line[at] = static_cast<char>(rng.NextBounded(256));
+          }
+          break;
+        case 1:  // truncate
+          line.resize(at);
+          break;
+        default:  // insert a JSON-significant token
+          line.insert(at, inserts[rng.NextBounded(inserts.size())]);
+          break;
+      }
+    }
+    auto fast = LogRecord::ParseJsonl(line);
+    auto dom = DomParse(line);
+    ASSERT_EQ(fast.ok(), dom.ok()) << "round " << round << ": " << line;
+    if (fast.ok()) {
+      ++accepted;
+      ExpectSameRecord(*fast, *dom, line);
+    } else {
+      ++rejected;
+      EXPECT_EQ(fast.status().ToString(), dom.status().ToString()) << line;
+    }
+    if (testing::Test::HasFailure()) return;
+  }
+  // Both verdicts must have had something to check.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
 }
 
 TEST(JsonlCodecTest, ParallelReadIsByteIdenticalAcrossHostThreadCounts) {

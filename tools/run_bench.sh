@@ -15,13 +15,16 @@
 #   BENCH_analysis.json   — zero-copy ArchiveView repository scans vs the
 #                           materialize (full Load) path, pool-size axis,
 #                           per-archive chokepoint findings off the view
+#   BENCH_granula.json    — the archive-build path: LintLog and
+#                           Archiver::Build records/s, instrumentation
+#                           overhead, JSON archive codec, path queries
 #
 # Usage: tools/run_bench.sh [build_dir] [engine_out.json] [streaming_out.json]
 #                           [jsonl_out.json] [archive_out.json] [serve_out.json]
-#                           [analysis_out.json]
+#                           [analysis_out.json] [granula_out.json]
 #   build_dir defaults to ./build; outputs default to ./BENCH_engine.json,
 #   ./BENCH_streaming.json, ./BENCH_jsonl.json, ./BENCH_archive.json,
-#   ./BENCH_serve.json, and ./BENCH_analysis.json.
+#   ./BENCH_serve.json, ./BENCH_analysis.json, and ./BENCH_granula.json.
 #
 # Every JSON's "context" carries host_nproc, cmake_build_type (of
 # build_dir) and git_sha, so a recorded number names its host and build.
@@ -43,15 +46,18 @@ jsonl_out="${4:-BENCH_jsonl.json}"
 archive_out="${5:-BENCH_archive.json}"
 serve_out="${6:-BENCH_serve.json}"
 analysis_out="${7:-BENCH_analysis.json}"
+granula_out="${8:-BENCH_granula.json}"
 engine_bench="${build_dir}/bench/micro_parallel_engine"
 streaming_bench="${build_dir}/bench/micro_streaming_ingest"
 jsonl_bench="${build_dir}/bench/micro_jsonl"
 archive_bench="${build_dir}/bench/micro_archive_query"
 serve_bench="${build_dir}/bench/micro_serve"
 analysis_bench="${build_dir}/bench/micro_archive_scan"
+granula_bench="${build_dir}/bench/micro_granula"
 
 for bench in "${engine_bench}" "${streaming_bench}" "${jsonl_bench}" \
-             "${archive_bench}" "${serve_bench}" "${analysis_bench}"; do
+             "${archive_bench}" "${serve_bench}" "${analysis_bench}" \
+             "${granula_bench}"; do
   if [[ ! -x "${bench}" ]]; then
     echo "error: ${bench} not found — build first:" >&2
     echo "  cmake -B ${build_dir} -S . && cmake --build ${build_dir} -j" >&2
@@ -110,8 +116,15 @@ echo
   "${context}"
 
 echo
+"${granula_bench}" \
+  --benchmark_out="${granula_out}" \
+  --benchmark_out_format=json \
+  --benchmark_counters_tabular=true \
+  "${context}"
+
+echo
 echo "wrote ${engine_out}, ${streaming_out}, ${jsonl_out}, ${archive_out}," \
-     "${serve_out}, and ${analysis_out}"
+     "${serve_out}, ${analysis_out}, and ${granula_out}"
 # Print the superstep-compute scaling summary (speedup vs the 1-thread row
 # of each benchmark family) if python3 is around; the JSON has everything.
 if command -v python3 >/dev/null; then
@@ -247,5 +260,17 @@ if mat < 2.0 * view:
     print(f"error: view scan is only {mat / view:.2f}x the materialize "
           f"path (gate: >= 2x)", file=sys.stderr)
     sys.exit(1)
+EOF
+  # Archive-build path: lint and full Build records/s per log size.
+  python3 - "${granula_out}" <<'EOF'
+import json, sys
+data = json.load(open(sys.argv[1]))
+rows = [b for b in data.get("benchmarks", [])
+        if b["name"].split("/")[0] in ("BM_LintLog", "BM_ArchiverBuild")
+        and "items_per_second" in b]
+if rows:
+    print("archive-build path (records/s):")
+    for b in rows:
+        print(f"  {b['name']}: {b['items_per_second'] / 1e6:.2f}M")
 EOF
 fi

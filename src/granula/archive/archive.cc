@@ -55,18 +55,6 @@ void ArchivedOperation::Visit(
   for (const auto& child : children) child->Visit(fn);
 }
 
-std::unique_ptr<ArchivedOperation> ArchivedOperation::Clone() const {
-  auto op = std::make_unique<ArchivedOperation>();
-  op->actor_type = actor_type;
-  op->actor_id = actor_id;
-  op->mission_type = mission_type;
-  op->mission_id = mission_id;
-  op->infos = infos;
-  op->children.reserve(children.size());
-  for (const auto& child : children) op->children.push_back(child->Clone());
-  return op;
-}
-
 uint64_t ArchivedOperation::SubtreeSize() const {
   uint64_t count = 1;
   for (const auto& child : children) count += child->SubtreeSize();
@@ -93,12 +81,11 @@ Json ArchivedOperation::ToJson() const {
   return j;
 }
 
-Result<std::unique_ptr<ArchivedOperation>> ArchivedOperation::FromJson(
-    const Json& j) {
+Result<OperationPtr> ArchivedOperation::FromJson(const Json& j) {
   if (!j.is_object()) {
     return Status::Corruption("operation node must be a JSON object");
   }
-  auto op = std::make_unique<ArchivedOperation>();
+  auto op = std::make_shared<ArchivedOperation>();
   op->actor_type = j.GetString("actor_type");
   op->actor_id = j.GetString("actor_id");
   op->mission_type = j.GetString("mission_type");
@@ -123,7 +110,7 @@ Result<std::unique_ptr<ArchivedOperation>> ArchivedOperation::FromJson(
       op->children.push_back(std::move(parsed));
     }
   }
-  return op;
+  return OperationPtr(std::move(op));
 }
 
 namespace {

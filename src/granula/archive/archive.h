@@ -38,6 +38,14 @@ struct InfoValue {
   std::string source;
 };
 
+class ArchivedOperation;
+
+// Every node of an operation tree is held through this handle. A builder
+// fills a node made with std::make_shared and freezes it by attaching it
+// (to a parent's `children` or an archive's `root`); from then on nobody
+// mutates it, so copying an archive or a node shares every subtree below.
+using OperationPtr = std::shared_ptr<const ArchivedOperation>;
+
 // An operation in a performance archive: an actor executing a mission, with
 // its info set and filial operations (paper Section 3.2). The well-known
 // infos "StartTime" and "EndTime" hold integer nanoseconds of virtual time.
@@ -51,7 +59,7 @@ class ArchivedOperation {
   std::string mission_id;
 
   std::map<std::string, InfoValue, std::less<>> infos;
-  std::vector<std::unique_ptr<ArchivedOperation>> children;
+  std::vector<OperationPtr> children;
 
   // "actor @ mission", e.g. "Worker-3 @ Superstep-4".
   std::string DisplayName() const;
@@ -74,15 +82,11 @@ class ArchivedOperation {
   // Pre-order traversal.
   void Visit(const std::function<void(const ArchivedOperation&)>& fn) const;
 
-  // Deep copy of this operation and its subtree. Used by the streaming
-  // archiver to emit snapshots without giving up its working tree.
-  std::unique_ptr<ArchivedOperation> Clone() const;
-
   // Number of operations in this subtree (including this one).
   uint64_t SubtreeSize() const;
 
   Json ToJson() const;
-  static Result<std::unique_ptr<ArchivedOperation>> FromJson(const Json& j);
+  static Result<OperationPtr> FromJson(const Json& j);
 };
 
 // A read cursor over a materialised tree with ArchiveView::Op's navigation
@@ -149,13 +153,14 @@ std::string_view ArchiveStatusName(ArchiveStatus status);
 // The performance archive (paper Section 3.3, P3): the standardized,
 // queryable artifact produced by one evaluated job. Serializes to JSON so
 // archives can be stored, shared, diffed, and re-visualized without
-// re-running the experiment.
+// re-running the experiment. Copies are cheap: they share the operation
+// tree.
 class PerformanceArchive {
  public:
   std::map<std::string, std::string> job_metadata;  // platform, algorithm...
   std::string model_name;
   ArchiveStatus status = ArchiveStatus::kComplete;
-  std::unique_ptr<ArchivedOperation> root;
+  OperationPtr root;
   std::vector<EnvironmentRecord> environment;
   // Lint findings from archiving: what was quarantined or repaired when the
   // log was dirty (serialized as the "quarantined" section). Empty for a

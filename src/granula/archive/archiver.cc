@@ -18,10 +18,10 @@ namespace {
 // assembly core so the two match byte-for-byte.
 void Assemble(uint32_t index, const LintedLog& linted,
               const PerformanceModel& model, bool* saw_unmodeled,
-              std::vector<std::unique_ptr<ArchivedOperation>>* out) {
+              std::vector<OperationPtr>* out) {
   const LintedLog::Op& p = linted.ops[index];
 
-  std::vector<std::unique_ptr<ArchivedOperation>> children;
+  std::vector<OperationPtr> children;
   for (uint32_t child : linted.ChildrenOf(p)) {
     Assemble(child, linted, model, saw_unmodeled, &children);
   }
@@ -34,7 +34,7 @@ void Assemble(uint32_t index, const LintedLog& linted,
     return;
   }
 
-  std::unique_ptr<ArchivedOperation> op = MakeOperationNode(
+  std::shared_ptr<ArchivedOperation> op = MakeOperationNode(
       *p.start, p.end_time, p.end_provenance, linted.InfosOf(p));
   op->children = std::move(children);
   SortChildrenByStartTime(op.get());
@@ -61,7 +61,7 @@ Result<PerformanceArchive> Archiver::Build(
     return Status::Corruption("log contains no root operation");
   }
 
-  std::vector<std::unique_ptr<ArchivedOperation>> assembled;
+  std::vector<OperationPtr> assembled;
   bool saw_unmodeled = false;
   Assemble(linted.root, linted, effective, &saw_unmodeled, &assembled);
   if (options_.strict && saw_unmodeled) {

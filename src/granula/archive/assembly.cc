@@ -5,11 +5,11 @@
 
 namespace granula::core {
 
-std::unique_ptr<ArchivedOperation> MakeOperationNode(
+std::shared_ptr<ArchivedOperation> MakeOperationNode(
     const LogRecord& start, const std::optional<SimTime>& end_time,
     std::string_view end_provenance,
     std::span<const LogRecord* const> infos) {
-  auto op = std::make_unique<ArchivedOperation>();
+  auto op = std::make_shared<ArchivedOperation>();
   op->actor_type = start.actor_type;
   op->actor_id = start.actor_id;
   op->mission_type = start.mission_type;
@@ -39,7 +39,7 @@ void SortChildrenByStartTime(ArchivedOperation* op) {
     last = start;
   }
   if (i == children.size()) return;
-  std::vector<std::pair<SimTime, std::unique_ptr<ArchivedOperation>>> keyed;
+  std::vector<std::pair<SimTime, OperationPtr>> keyed;
   keyed.reserve(children.size());
   for (auto& child : children) {
     SimTime start = child->StartTime();

@@ -25,8 +25,9 @@ namespace granula::core {
 // Builds the archive node for one operation from its surviving records:
 // the StartOp annotation, the (possibly repaired) end time with its
 // provenance suffix, and the info records in seq order. Children are
-// attached and ordered separately.
-std::unique_ptr<ArchivedOperation> MakeOperationNode(
+// attached and ordered separately; the node is still mutable until the
+// caller attaches it to a parent or an archive.
+std::shared_ptr<ArchivedOperation> MakeOperationNode(
     const LogRecord& start, const std::optional<SimTime>& end_time,
     std::string_view end_provenance,
     std::span<const LogRecord* const> infos);

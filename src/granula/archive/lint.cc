@@ -134,6 +134,15 @@ void SortFindings(std::vector<LintFinding>* findings) {
             });
 }
 
+LintFinding ExtraRootFinding(std::string_view name, uint64_t op_id,
+                             uint64_t seq, uint64_t subtree_size) {
+  return {LintDefect::kMultipleRoots, op_id, seq, false,
+          StrFormat("extra root %.*s (subtree of %llu operation(s)) "
+                    "quarantined",
+                    static_cast<int>(name.size()), name.data(),
+                    static_cast<unsigned long long>(subtree_size))};
+}
+
 namespace {
 
 constexpr uint32_t kNone = LintedLog::kNone;
@@ -337,23 +346,16 @@ LintedLog LintAndRepair(const std::vector<LogRecord>& records) {
     }
   }
 
-  // Pick the primary root: largest subtree, ties broken by lowest seq,
-  // then by lowest op id.
+  // Pick the primary root; a tie on size and seq goes to the lowest op id.
   std::vector<uint32_t> subtree_size(num_ops, 0);  // per root
   for (uint32_t i = 0; i < num_ops; ++i) {
     if (fate[i] == Fate::kRoot) ++subtree_size[root_of[i]];
   }
   for (uint32_t i = 0; i < num_ops; ++i) {
     if (fate[i] != Fate::kRoot || root_of[i] != i) continue;
-    if (out.root == kNone) {
-      out.root = i;
-      continue;
-    }
-    uint32_t best = subtree_size[out.root];
-    uint32_t cand = subtree_size[i];
-    if (cand > best ||
-        (cand == best &&
-         out.ops[i].start->seq < out.ops[out.root].start->seq)) {
+    if (out.root == kNone ||
+        ElectedOver(subtree_size[i], out.ops[i].start->seq,
+                    subtree_size[out.root], out.ops[out.root].start->seq)) {
       out.root = i;
     }
   }
@@ -372,12 +374,8 @@ LintedLog LintAndRepair(const std::vector<LogRecord>& records) {
       continue;
     }
     if (f == Fate::kRoot && root_of[i] == i) {
-      findings.push_back(
-          {LintDefect::kMultipleRoots, start.op_id, start.seq, false,
-           StrFormat("extra root %s (subtree of %llu operation(s)) "
-                     "quarantined",
-                     OpName(start).c_str(),
-                     static_cast<unsigned long long>(subtree_size[i]))});
+      findings.push_back(ExtraRootFinding(OpName(start), start.op_id,
+                                          start.seq, subtree_size[i]));
     } else if (f == Fate::kRoot) {
       findings.push_back(
           {LintDefect::kUnreachableSubtree, start.op_id, start.seq, false,

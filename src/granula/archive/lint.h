@@ -114,6 +114,20 @@ std::string OpName(const LogRecord& start);
 // findings were raised in.
 void SortFindings(std::vector<LintFinding>* findings);
 
+// Root election, shared by the batch pass and the streaming archiver: of
+// several root candidates, the one with the largest pre-filter subtree
+// wins, and a tie goes to the lowest start seq. True when a candidate of
+// (`size`, `seq`) beats the best so far.
+inline bool ElectedOver(uint64_t size, uint64_t seq, uint64_t best_size,
+                        uint64_t best_seq) {
+  return size > best_size || (size == best_size && seq < best_seq);
+}
+
+// The kMultipleRoots finding for a root that lost the election; `name` is
+// its OpName.
+LintFinding ExtraRootFinding(std::string_view name, uint64_t op_id,
+                             uint64_t seq, uint64_t subtree_size);
+
 // Classifies every defect in `records` and computes the best-effort
 // repaired view: first record wins on duplicates, inverted/duplicate ends
 // and orphan records are dropped, and of several roots the one with the

@@ -567,9 +567,8 @@ Status ArchiveRepository::ScanArchive(
   return fn(view);
 }
 
-Result<std::shared_ptr<const ArchivedOperation>>
-ArchiveRepository::FetchSubtree(const std::string& name,
-                                const std::string& path) {
+Result<OperationPtr> ArchiveRepository::FetchSubtree(
+    const std::string& name, const std::string& path) {
   const std::string key = name + '\0' + path;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
@@ -588,8 +587,7 @@ ArchiveRepository::FetchSubtree(const std::string& name,
   // hits on other keys.
   GRANULA_ASSIGN_OR_RETURN(MappedFile file, OpenBody(name));
   GRANULA_ASSIGN_OR_RETURN(ArchiveView view, ArchiveView::Open(file.data()));
-  GRANULA_ASSIGN_OR_RETURN(std::shared_ptr<const ArchivedOperation> subtree,
-                           view.DecodeSubtree(path));
+  GRANULA_ASSIGN_OR_RETURN(OperationPtr subtree, view.DecodeSubtree(path));
 
   std::lock_guard<std::mutex> lock(cache_mu_);
   if (cache_capacity_ > 0) {

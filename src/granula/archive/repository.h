@@ -146,8 +146,8 @@ class ArchiveRepository {
   // the disk decode on a miss runs outside the lock so a cold fetch never
   // stalls concurrent hits. Two threads missing the same key may both
   // decode; the first insert wins and the loser adopts it.
-  Result<std::shared_ptr<const ArchivedOperation>> FetchSubtree(
-      const std::string& name, const std::string& path);
+  Result<OperationPtr> FetchSubtree(const std::string& name,
+                                   const std::string& path);
 
   // ---- zero-copy batch scans -----------------------------------------
   //
@@ -290,7 +290,7 @@ class ArchiveRepository {
   // concurrent workers; the rest of the repository (Save/Pack/Remove call
   // CacheInvalidate) stays single-writer as before.
   struct CacheSlot {
-    std::shared_ptr<const ArchivedOperation> subtree;
+    OperationPtr subtree;
     std::list<std::string>::iterator lru_it;
   };
   mutable std::mutex cache_mu_;

@@ -536,9 +536,8 @@ Result<LintReport> ArchiveView::DecodeLint() const {
 
 // ---------------------------------------------------------- decodes ----
 
-Result<std::unique_ptr<ArchivedOperation>> ArchiveView::DecodeOp(
-    const Op& op, int levels) const {
-  auto out = std::make_unique<ArchivedOperation>();
+Result<OperationPtr> ArchiveView::DecodeOp(const Op& op, int levels) const {
+  auto out = std::make_shared<ArchivedOperation>();
   out->actor_type = std::string(op.actor_type());
   out->actor_id = std::string(op.actor_id());
   out->mission_type = std::string(op.mission_type());
@@ -557,7 +556,7 @@ Result<std::unique_ptr<ArchivedOperation>> ArchiveView::DecodeOp(
       out->children.push_back(std::move(decoded));
     }
   }
-  return out;
+  return OperationPtr(std::move(out));
 }
 
 Result<PerformanceArchive> ArchiveView::Decode(int levels) const {
@@ -584,8 +583,7 @@ Result<PerformanceArchive> ArchiveView::Decode(int levels) const {
   return archive;
 }
 
-Result<std::unique_ptr<ArchivedOperation>> ArchiveView::DecodeSubtree(
-    std::string_view path) const {
+Result<OperationPtr> ArchiveView::DecodeSubtree(std::string_view path) const {
   const std::vector<std::string> segments = StrSplit(path, '/');
   Op op = root();
   if (segments.empty() || !op || op.name() != segments[0]) op = Op();

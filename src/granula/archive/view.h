@@ -160,8 +160,7 @@ class ArchiveView {
   // matches nothing. Both fail with Corruption on a malformed info value;
   // Decode() also fails as DecodeLint() does.
   Result<PerformanceArchive> Decode(int levels = 0) const;
-  Result<std::unique_ptr<ArchivedOperation>> DecodeSubtree(
-      std::string_view path) const;
+  Result<OperationPtr> DecodeSubtree(std::string_view path) const;
 
  private:
   ArchiveView() = default;
@@ -178,8 +177,7 @@ class ArchiveView {
   // value; `depth` bounds the nesting a hostile file can force.
   Result<Json> DecodeValue(uint64_t& off, int depth) const;
   // Materialises `op` and its subtree, cut to `levels` levels (<= 0: all).
-  Result<std::unique_ptr<ArchivedOperation>> DecodeOp(const Op& op,
-                                                      int levels) const;
+  Result<OperationPtr> DecodeOp(const Op& op, int levels) const;
   // Index of the info row named `sym` within [begin, begin+count), or -1.
   int FindInfoRow(uint32_t begin, uint32_t count,
                   std::optional<uint32_t> sym) const;

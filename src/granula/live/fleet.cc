@@ -23,19 +23,6 @@ bool ValidJobName(const std::string& name) {
   return true;
 }
 
-// PerformanceArchive is move-only (the root subtree); Archive() hands out
-// deep copies.
-PerformanceArchive CopyArchive(const PerformanceArchive& archive) {
-  PerformanceArchive out;
-  out.job_metadata = archive.job_metadata;
-  out.model_name = archive.model_name;
-  out.status = archive.status;
-  if (archive.root != nullptr) out.root = archive.root->Clone();
-  out.environment = archive.environment;
-  out.lint = archive.lint;
-  return out;
-}
-
 }  // namespace
 
 const char* FleetSupervisor::JobStateName(JobState state) {
@@ -405,7 +392,7 @@ Result<PerformanceArchive> FleetSupervisor::Archive(
   if (it == jobs_.end() || !it->second->archive.has_value()) {
     return Status::NotFound("no archive yet for job '" + job + "'");
   }
-  return CopyArchive(*it->second->archive);
+  return *it->second->archive;
 }
 
 std::vector<LiveAlert> FleetSupervisor::Alerts(const std::string& job) const {

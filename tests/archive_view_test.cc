@@ -345,12 +345,14 @@ TEST(ViewPropertyTest, RandomInfoValuesMatchAcrossAllShapes) {
     archive.status = base.status;
     archive.environment = base.environment;
     archive.lint = base.lint;
-    archive.root = base.root->Clone();
+    // A copy of the root node shares the base's subtrees below it.
+    auto root = std::make_shared<core::ArchivedOperation>(*base.root);
     const int infos = 1 + static_cast<int>(rng.NextBounded(6));
     for (int i = 0; i < infos; ++i) {
-      archive.root->SetInfo(RandomName(rng), RandomValue(rng, 0),
-                            rng.NextBool(0.5) ? "measured" : "derived");
+      root->SetInfo(RandomName(rng), RandomValue(rng, 0),
+                    rng.NextBool(0.5) ? "measured" : "derived");
     }
+    archive.root = std::move(root);
     ExpectViewEquivalent(archive, "iteration " + std::to_string(iteration));
   }
 }
@@ -376,10 +378,11 @@ TEST(ViewDegenerateTest, ZeroOpArchiveWithEmptySymbolBlob) {
 
 TEST(ViewDegenerateTest, RootOnlyTree) {
   core::PerformanceArchive archive;
-  archive.root = std::make_unique<core::ArchivedOperation>();
-  archive.root->actor_type = "Job";
-  archive.root->actor_id = "J1";
-  archive.root->mission_type = "Run";
+  auto node = std::make_shared<core::ArchivedOperation>();
+  node->actor_type = "Job";
+  node->actor_id = "J1";
+  node->mission_type = "Run";
+  archive.root = std::move(node);
   ExpectViewEquivalent(archive, "root-only");
 
   const std::string gba = core::EncodeGba(archive);
@@ -394,9 +397,10 @@ TEST(ViewDegenerateTest, RootOnlyTree) {
 TEST(ViewDegenerateTest, StatusAndIncompleteRootSurvive) {
   core::PerformanceArchive archive;
   archive.status = core::ArchiveStatus::kIncomplete;
-  archive.root = std::make_unique<core::ArchivedOperation>();
-  archive.root->actor_type = "Job";
-  archive.root->mission_type = "Run";
+  auto root = std::make_shared<core::ArchivedOperation>();
+  root->actor_type = "Job";
+  root->mission_type = "Run";
+  archive.root = std::move(root);
   ExpectViewEquivalent(archive, "incomplete");
 }
 
@@ -529,8 +533,12 @@ TEST(ViewFormatTest, SeededMutantsFailOpenOrAreSafeToUse) {
   nested["inner"] = Json::MakeObject();
   nested["inner"]["pi"] = Json(3.25);
   nested["inner"]["flag"] = Json(true);
-  archive.root->SetInfo("Nested", nested, "derived");
-  archive.root->children[0]->SetInfo("Tags", nested["list"], "derived");
+  auto root = std::make_shared<core::ArchivedOperation>(*archive.root);
+  auto first = std::make_shared<core::ArchivedOperation>(*root->children[0]);
+  root->SetInfo("Nested", nested, "derived");
+  first->SetInfo("Tags", nested["list"], "derived");
+  root->children[0] = std::move(first);
+  archive.root = std::move(root);
   const std::string gba = core::EncodeGba(archive);
 
   Rng rng(20261017);
@@ -561,21 +569,122 @@ TEST(ViewFormatTest, SeededMutantsFailOpenOrAreSafeToUse) {
   EXPECT_GT(accepted, kMutants / 20);
 }
 
+uint64_t GetLittleEndian64(const std::string& bytes, size_t at) {
+  uint64_t value = 0;
+  for (int b = 7; b >= 0; --b) {
+    value = value << 8 | static_cast<uint8_t>(bytes[at + b]);
+  }
+  return value;
+}
+
+void PutLittleEndian64(std::string& bytes, size_t at, uint64_t value) {
+  for (int b = 0; b < 8; ++b, value >>= 8) {
+    bytes[at + b] = static_cast<char>(value & 0xff);
+  }
+}
+
+TEST(ViewFormatTest, SeededHeaderAndShiftMutantsFailOpenOrAreSafeToUse) {
+  // The two mutant classes the sweep above never makes. Header mutants
+  // edit the 72-byte header (magic, version, file size, section
+  // offsets). Shift mutants insert or delete bytes past the header, which
+  // moves every offset after the edit, and rewrite the header's file
+  // size so the mutant gets past the size check into section validation.
+  // A mutant either fails Open() or survives every consumer, and when it
+  // decodes, the decoded archive re-encodes to a file that opens and
+  // decodes to the same archive.
+  core::PerformanceArchive archive = BuildArchive(0, algo::AlgorithmId::kBfs);
+  const std::string gba = core::EncodeGba(archive);
+  ASSERT_GT(gba.size(), core::kGbaHeaderSize);
+
+  Rng rng(20261019);
+  int accepted[2] = {0, 0};
+  constexpr int kMutants = 2000;
+  for (int m = 0; m < kMutants; ++m) {
+    const bool shift = m % 2 == 1;
+    std::string mutant = gba;
+    if (!shift) {
+      const int edits = 1 + static_cast<int>(rng.NextBounded(3));
+      for (int e = 0; e < edits; ++e) {
+        // Mostly the section offsets, whose low bits can move a section
+        // and still pass the bounds checks.
+        const size_t pos = rng.NextBool(0.25)
+                               ? rng.NextBounded(core::kGbaHeaderSize)
+                               : 16 + 8 * rng.NextBounded(7) +
+                                     rng.NextBounded(2);
+        if (rng.NextBool(0.5)) {
+          mutant[pos] = static_cast<char>(mutant[pos] ^
+                                          (1u << rng.NextBounded(8)));
+        } else {
+          mutant[pos] = static_cast<char>(rng.NextBounded(256));
+        }
+      }
+    } else {
+      const size_t pos =
+          core::kGbaHeaderSize +
+          rng.NextBounded(mutant.size() - core::kGbaHeaderSize);
+      const size_t len = 1 + rng.NextBounded(16);
+      const bool insert = rng.NextBool(0.5);
+      if (insert) {
+        std::string bytes(len, '\0');
+        for (char& c : bytes) c = static_cast<char>(rng.NextBounded(256));
+        mutant.insert(pos, bytes);
+      } else {
+        mutant.erase(pos, len);
+      }
+      PutLittleEndian64(mutant, 8, mutant.size());
+      if (rng.NextBool(0.5)) {
+        // Also move the sections after the edit, so the shift lands
+        // inside one section instead of misaligning every later one.
+        for (size_t field = 16; field < core::kGbaHeaderSize; field += 8) {
+          const uint64_t off = GetLittleEndian64(mutant, field);
+          if (off <= pos) continue;
+          PutLittleEndian64(mutant, field, insert ? off + len : off - len);
+        }
+      }
+    }
+    const std::string label =
+        (shift ? "shift mutant " : "header mutant ") + std::to_string(m);
+    auto view = core::ArchiveView::Open(mutant);
+    if (!view.ok()) {
+      // A mutated version word is the one non-corruption refusal.
+      EXPECT_TRUE(view.status().code() == StatusCode::kCorruption ||
+                  (!shift &&
+                   view.status().code() == StatusCode::kInvalidArgument))
+          << label << ": " << view.status();
+      continue;
+    }
+    ++accepted[shift ? 1 : 0];
+    ExerciseAcceptedView(*view, label);
+    auto decoded = view->Decode();
+    if (!decoded.ok()) continue;
+    const std::string reencoded = core::EncodeGba(*decoded);
+    auto reopened = core::ArchiveView::Open(reencoded);
+    ASSERT_TRUE(reopened.ok()) << label << ": " << reopened.status();
+    auto redecoded = reopened->Decode();
+    ASSERT_TRUE(redecoded.ok()) << label << ": " << redecoded.status();
+    EXPECT_EQ(redecoded->ToJsonString(), decoded->ToJsonString()) << label;
+  }
+  // Both classes must reach past Open() often enough to mean something.
+  EXPECT_GT(accepted[0], kMutants / 200);
+  EXPECT_GT(accepted[1], kMutants / 40);
+}
+
 TEST(ViewFormatTest, HostileTimesSaturateDuration) {
   // Open() accepts any int64 StartTime/EndTime; end - start must saturate
   // rather than overflow (UBSan) on both the view and the decoded tree.
   core::PerformanceArchive archive;
-  archive.root = std::make_unique<core::ArchivedOperation>();
-  archive.root->actor_type = "Job";
-  archive.root->mission_type = "Run";
-  archive.root->SetInfo("StartTime", Json(INT64_MIN), "measured");
-  archive.root->SetInfo("EndTime", Json(INT64_MAX), "measured");
-  auto child = std::make_unique<core::ArchivedOperation>();
+  auto root = std::make_shared<core::ArchivedOperation>();
+  root->actor_type = "Job";
+  root->mission_type = "Run";
+  root->SetInfo("StartTime", Json(INT64_MIN), "measured");
+  root->SetInfo("EndTime", Json(INT64_MAX), "measured");
+  auto child = std::make_shared<core::ArchivedOperation>();
   child->actor_type = "Worker";
   child->mission_type = "Compute";
   child->SetInfo("StartTime", Json(INT64_MAX), "measured");
   child->SetInfo("EndTime", Json(INT64_MIN), "measured");
-  archive.root->children.push_back(std::move(child));
+  root->children.push_back(std::move(child));
+  archive.root = std::move(root);
 
   const std::string gba = core::EncodeGba(archive);
   auto view = core::ArchiveView::Open(gba);

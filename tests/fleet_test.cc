@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -452,6 +453,50 @@ TEST(FleetSupervisorTest, ArchiveServesTheInFlightSnapshotUntilFinal) {
   ASSERT_TRUE(final_archive.ok()) << final_archive.status();
   EXPECT_EQ(final_archive->ToJsonString(2), BatchJson(records));
   fleet.Drain();
+}
+
+TEST(FleetSupervisorTest, ArchiveCopiesOutliveFinalizationAndTheSupervisor) {
+  // Archive() returns a copy that shares the job's subtrees: one taken
+  // while the job streams must stay valid and unchanged after the job
+  // finalizes and after the supervisor that built it is destroyed.
+  std::vector<LogRecord> records = RealJobRecords();
+  std::optional<PerformanceArchive> in_flight;
+  std::optional<PerformanceArchive> final_archive;
+  std::string in_flight_json;
+  {
+    FleetSupervisor fleet(MakePowerGraphModel(), FastOptions());
+    ASSERT_TRUE(fleet
+                    .Ingest("job-kept",
+                            std::vector<LogRecord>(
+                                records.begin(),
+                                records.begin() + records.size() / 2),
+                            0)
+                    .ok());
+    fleet.Tick();
+    auto snapshot = fleet.Archive("job-kept");
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    in_flight = std::move(*snapshot);
+    in_flight_json = in_flight->ToJsonString(2);
+
+    ASSERT_TRUE(fleet
+                    .Ingest("job-kept",
+                            std::vector<LogRecord>(
+                                records.begin() + records.size() / 2,
+                                records.end()),
+                            0)
+                    .ok());
+    fleet.Tick();
+    auto sealed = fleet.Archive("job-kept");
+    ASSERT_TRUE(sealed.ok()) << sealed.status();
+    EXPECT_EQ(sealed->status, ArchiveStatus::kComplete);
+    final_archive = std::move(*sealed);
+    EXPECT_EQ(in_flight->ToJsonString(2), in_flight_json);
+    fleet.Drain();
+  }
+  ASSERT_NE(in_flight->root, nullptr);
+  EXPECT_TRUE(in_flight->root->HasInfo("InFlight"));
+  EXPECT_EQ(in_flight->ToJsonString(2), in_flight_json);
+  EXPECT_EQ(final_archive->ToJsonString(2), BatchJson(records));
 }
 
 // ------------------------------------------------ HTTP face ------------

@@ -238,12 +238,14 @@ TEST(GbaPropertyTest, RandomInfoValuesRoundTripByteExact) {
     archive.status = base.status;
     archive.environment = base.environment;
     archive.lint = base.lint;
-    archive.root = base.root->Clone();
+    // A copy of the root node shares the base's subtrees below it.
+    auto root = std::make_shared<core::ArchivedOperation>(*base.root);
     const int infos = 1 + static_cast<int>(rng.NextBounded(6));
     for (int i = 0; i < infos; ++i) {
-      archive.root->SetInfo(RandomName(rng), RandomValue(rng, 0),
-                            rng.NextBool(0.5) ? "measured" : "derived");
+      root->SetInfo(RandomName(rng), RandomValue(rng, 0),
+                    rng.NextBool(0.5) ? "measured" : "derived");
     }
+    archive.root = std::move(root);
     ExpectByteExactRoundTrip(archive,
                              "iteration " + std::to_string(iteration));
   }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -262,6 +263,39 @@ TEST(StreamingSnapshotTest, InFlightOperationsCloseAtTheWatermark) {
   EXPECT_FALSE(child.HasInfo("InFlight"));
   EXPECT_EQ(child.EndTime(), SimTime::Seconds(3.0));
   EXPECT_TRUE(snapshot->root->HasInfo("InFlight"));
+}
+
+TEST(StreamingSnapshotTest, SnapshotIsUnchangedByLaterRecordsAndFinish) {
+  // A mid-stream snapshot shares the archiver's finalized subtrees rather
+  // than copying them; the records that follow, the finalizations they
+  // cascade into and Finish() must not change a byte of it.
+  JobResult result = RunPlatform("giraph", algo::AlgorithmId::kBfs);
+  StreamingArchiver streaming(MakeGiraphModel());
+  const size_t half = result.records.size() / 2;
+  for (size_t i = 0; i < half; ++i) streaming.Append(result.records[i]);
+  ASSERT_GT(streaming.stats().finalized_operations, 0u);
+  auto snapshot = streaming.Snapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  const std::string before = snapshot->ToJsonString();
+
+  for (size_t i = half; i < result.records.size(); ++i) {
+    streaming.Append(result.records[i]);
+  }
+  streaming.Finish();
+  auto final_snapshot = streaming.Snapshot();
+  ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status();
+  EXPECT_EQ(snapshot->ToJsonString(), before);
+  EXPECT_NE(final_snapshot->ToJsonString(), before);
+
+  // The two archives share the subtrees finalized before the first one.
+  std::set<const ArchivedOperation*> final_nodes;
+  final_snapshot->root->Visit(
+      [&](const ArchivedOperation& op) { final_nodes.insert(&op); });
+  size_t shared = 0;
+  snapshot->root->Visit([&](const ArchivedOperation& op) {
+    shared += final_nodes.count(&op);
+  });
+  EXPECT_GT(shared, 0u);
 }
 
 TEST(StreamingSnapshotTest, EmptyStreamHasNoRoot) {

@@ -11,6 +11,7 @@
 //     operation row decoded onto the heap), then summarize;
 //   - BM_ViewScan: ArchiveRepository::ScanAll + SummarizeArchiveView —
 //     mmap'd columns walked in place, only root + phase rows touched.
+// BM_SweepGate times the regression gate alone over two depth-0 scans.
 //
 // Acceptance points (read the ratios off BENCH_analysis.json):
 //   - BM_ViewScan/pool:1 >= 5x BM_MaterializeScan (same work, same single
@@ -218,6 +219,25 @@ void BM_ViewScanFullFlatten(benchmark::State& state) {
   state.counters["archives"] = kArchives;
 }
 BENCHMARK(BM_ViewScanFullFlatten)->Unit(benchmark::kMillisecond);
+
+// The regression gate perfbench's sweep and replay passes end with:
+// CompareSweepSummaries over two depth-0 scans, so both sides hold every
+// operation's path. The scans run once, outside the timed loop.
+void BM_SweepGate(benchmark::State& state) {
+  const Fixture& f = Bench();
+  ThreadPool::Global().Resize(1);
+  ArchiveRepository repo(f.dir);
+  auto baseline = ScanSweepSummaries(repo, 0);
+  auto candidate = ScanSweepSummaries(repo, 0);
+  if (!baseline.ok() || !candidate.ok()) std::abort();
+  for (auto _ : state) {
+    SweepRegressionSummary gate =
+        CompareSweepSummaries(*baseline, *candidate, RegressionOptions{});
+    benchmark::DoNotOptimize(gate.jobs.size());
+  }
+  state.counters["archives"] = kArchives;
+}
+BENCHMARK(BM_SweepGate)->Unit(benchmark::kMillisecond);
 
 // The serve routes' unit of work: one archive's chokepoint findings off
 // the view (GetFindings) vs off a full decode.

@@ -2,7 +2,6 @@
 #define GRANULA_GRANULA_ANALYSIS_COMPARATIVE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,9 +23,11 @@ namespace granula::core {
 
 // Everything the comparative report and the regression gate need from one
 // sweep archive, reduced during a zero-copy scan (no PerformanceArchive is
-// materialized). Producing summaries instead of trees is what lets `bench
-// --repo` scale: the per-archive state is a few hundred bytes, not the
-// whole operation forest.
+// materialized). A summary holds no tree: the axis fields and root phases
+// take a few hundred bytes, and the gate's `flattened` table one path and
+// one 24-byte row per operation it keeps — at `max_depth` 0, the gate's
+// and perfbench's default, that is every operation of the archive, in two
+// allocations.
 struct SweepSummary {
   std::string name;  // repository name
   std::string platform;
@@ -43,7 +44,7 @@ struct SweepSummary {
   std::vector<std::pair<std::string, double>> phases;
   // FlattenArchiveView table for the regression gate, cut at the
   // `max_depth` the summaries were scanned with.
-  std::map<std::string, double> flattened;
+  FlatOps flattened;
 };
 
 // One summary from an open view. `max_depth` bounds the flatten table

@@ -115,6 +115,16 @@ Result<OperationPtr> ArchivedOperation::FromJson(const Json& j) {
 
 namespace {
 
+// Levels in the tree under `op`, `op` included. Recursive: only run on
+// trees Json::Parse bounded.
+int TreeDepth(const ArchivedOperation& op) {
+  int deepest = 0;
+  for (const auto& child : op.children) {
+    deepest = std::max(deepest, TreeDepth(*child));
+  }
+  return deepest + 1;
+}
+
 const ArchivedOperation* MatchSegment(const ArchivedOperation& op,
                                       std::string_view segment) {
   if (op.mission_id == segment) return &op;
@@ -218,6 +228,10 @@ Result<PerformanceArchive> PerformanceArchive::FromJsonString(
   if (const Json* root = j.Find("root");
       root != nullptr && !root->is_null()) {
     GRANULA_ASSIGN_OR_RETURN(archive.root, ArchivedOperation::FromJson(*root));
+    if (TreeDepth(*archive.root) > kMaxOperationDepth) {
+      return Status::Corruption(StrFormat(
+          "archive operation tree deeper than %d levels", kMaxOperationDepth));
+    }
   }
   if (const Json* env = j.Find("environment");
       env != nullptr && env->is_array()) {

@@ -30,6 +30,17 @@ inline SimTime SaturatingDuration(SimTime start, SimTime end) {
   return SimTime(nanos);
 }
 
+// The deepest operation tree an archive holds (root = level 1). The JSON
+// form nests each operation level two levels below the last (the child
+// object inside its parent's "children" array), and an info value sits
+// three levels below its operation; Json::Parse accepts 256 levels of
+// nesting, so 127 is the deepest tree whose infos all still parse.
+// ArchiveView::Open rejects a GBA body deeper than this, Archiver::Build a
+// log that nests deeper, and FromJsonString a JSON tree deeper, so every
+// accepted tree round-trips through both forms and the recursive walks
+// over a tree stay shallow.
+inline constexpr int kMaxOperationDepth = 127;
+
 // One piece of performance information attached to an operation (the
 // "info" of the paper's performance model, Fig. 1). `source` records the
 // provenance: which rule or log record produced the value.

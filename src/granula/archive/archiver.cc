@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/strings.h"
 #include "granula/archive/assembly.h"
@@ -42,6 +44,24 @@ void Assemble(uint32_t index, const LintedLog& linted,
   out->push_back(std::move(op));
 }
 
+// Fails when the linted tree nests deeper than an archive may hold —
+// checked with an explicit stack before the recursive Assemble runs.
+Status CheckDepth(const LintedLog& linted) {
+  std::vector<std::pair<uint32_t, int>> stack = {{linted.root, 1}};
+  while (!stack.empty()) {
+    const auto [index, depth] = stack.back();
+    stack.pop_back();
+    if (depth > kMaxOperationDepth) {
+      return Status::Corruption(StrFormat(
+          "operations nest deeper than %d levels", kMaxOperationDepth));
+    }
+    for (uint32_t child : linted.ChildrenOf(linted.ops[index])) {
+      stack.emplace_back(child, depth + 1);
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<PerformanceArchive> Archiver::Build(
@@ -60,6 +80,7 @@ Result<PerformanceArchive> Archiver::Build(
   if (linted.root == LintedLog::kNone) {
     return Status::Corruption("log contains no root operation");
   }
+  GRANULA_RETURN_IF_ERROR(CheckDepth(linted));
 
   std::vector<OperationPtr> assembled;
   bool saw_unmodeled = false;

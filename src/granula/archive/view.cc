@@ -162,6 +162,11 @@ Result<ArchiveView> ArchiveView::Open(std::string_view bytes) {
       return Corrupt("ops");
     }
     open_ends.push_back(row + size);
+    if (open_ends.size() > static_cast<size_t>(kMaxOperationDepth)) {
+      return Status::Corruption(
+          StrFormat("gba: operation tree deeper than %d levels",
+                    kMaxOperationDepth));
+    }
     const uint32_t info_begin = view.OpsCol(5, row);
     const uint32_t count = view.OpsCol(6, row);
     if (uint64_t{info_begin} + count > view.info_count_) {

@@ -31,7 +31,7 @@ void StreamingArchiver::AddFinding(LintDefect defect, uint64_t op_id,
 }
 
 void StreamingArchiver::Append(const LogRecord& record) {
-  if (finished_) return;
+  if (finished_ || !too_deep_.ok()) return;
   ++stats_.records_ingested;
   watermark_ = std::max(watermark_, record.time);
   switch (record.kind) {
@@ -72,7 +72,15 @@ void StreamingArchiver::IngestStart(const LogRecord& record) {
   if (record.parent_id != kNoOp) {
     auto parent = open_.find(record.parent_id);
     if (parent != open_.end()) {
+      if (parent->second.depth >= kMaxOperationDepth) {
+        // Ingesting stops here, so no walk over the open table (or a
+        // snapshot of it) ever goes deeper than an archive may.
+        too_deep_ = Status::Corruption(StrFormat(
+            "operations nest deeper than %d levels", kMaxOperationDepth));
+        return;
+      }
       op.parent = record.parent_id;
+      op.depth = parent->second.depth + 1;
       parent->second.open_children.insert(record.op_id);
     }
     // Parent unknown (never started, or already evicted): the op becomes a
@@ -287,6 +295,7 @@ void StreamingArchiver::Finish() {
 
 Result<PerformanceArchive> StreamingArchiver::Snapshot() const {
   GRANULA_RETURN_IF_ERROR(model_status_);
+  GRANULA_RETURN_IF_ERROR(too_deep_);
 
   // Mid-stream, still-open root candidates join the election as spines
   // built over their finalized subtrees. After Finish() nothing is open,

@@ -32,6 +32,9 @@ namespace granula::core {
 //    (it round-trips through JSON): operations still in flight carry an
 //    `InFlight` info and a watermark-repaired EndTime so durations and
 //    choke-point detectors keep working on partial data.
+//  * A stream whose operations nest deeper than kMaxOperationDepth fails
+//    as the batch Build does: from the first too-deep StartOp on, nothing
+//    more is ingested and Snapshot() returns Corruption.
 //  * Malformed in-flight records never crash the stream: they are
 //    classified with the same LintDefect classes the batch lint pass uses
 //    and quarantined. (For *defective* streams the final tree is
@@ -83,7 +86,7 @@ class StreamingArchiver {
   void SetEnvironment(std::vector<EnvironmentRecord> environment);
 
   // Ingests one record. Never fails: defective records are quarantined
-  // with a LintFinding. No-op after Finish().
+  // with a LintFinding. No-op after Finish() or a too-deep StartOp.
   void Append(const LogRecord& record);
   void AppendAll(const std::vector<LogRecord>& records);
 
@@ -146,6 +149,7 @@ class StreamingArchiver {
     std::vector<Contribution> done_children;
     std::set<OpId> open_children;
     OpId parent = kNoOp;  // kNoOp = root candidate
+    int depth = 1;        // levels of open ops down to this one
   };
 
   void AddFinding(LintDefect defect, uint64_t op_id, uint64_t seq,
@@ -175,6 +179,7 @@ class StreamingArchiver {
 
   PerformanceModel model_;
   Status model_status_;
+  Status too_deep_;  // set by the first StartOp past kMaxOperationDepth
   Options options_;
   std::map<std::string, std::string> metadata_;
   std::vector<EnvironmentRecord> environment_;

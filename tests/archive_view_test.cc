@@ -371,8 +371,7 @@ TEST(ViewDegenerateTest, ZeroOpArchiveWithEmptySymbolBlob) {
   auto view = core::ArchiveView::Open(gba);
   ASSERT_TRUE(view.ok()) << view.status();
   EXPECT_FALSE(view->has_root());
-  EXPECT_EQ(core::FlattenArchiveView(*view, 0),
-            (std::map<std::string, double>{}));
+  EXPECT_EQ(core::FlattenArchiveView(*view, 0), core::FlatOps{});
   EXPECT_TRUE(core::AnalyzeChokepoints(*view, {}).empty());
 }
 
@@ -699,6 +698,55 @@ TEST(ViewFormatTest, HostileTimesSaturateDuration) {
             core::AnalyzeChokepoints(archive, {}).size());
   EXPECT_EQ(core::FlattenArchiveView(*view, 0),
             core::FlattenArchive(archive, 0));
+}
+
+// ----------------------------------------------------- depth limit ------
+
+// A chain of `levels` operations, each with StartTime and EndTime.
+core::PerformanceArchive ChainArchive(int levels) {
+  core::PerformanceArchive archive;
+  std::shared_ptr<core::ArchivedOperation> parent;
+  for (int level = levels; level >= 1; --level) {
+    auto op = std::make_shared<core::ArchivedOperation>();
+    op->actor_type = "Worker";
+    op->mission_type = level == 1 ? "Root" : "Step";
+    op->SetInfo("StartTime", Json(int64_t{level}), "test");
+    op->SetInfo("EndTime", Json(int64_t{1000 - level}), "test");
+    if (parent != nullptr) op->children.push_back(std::move(parent));
+    parent = std::move(op);
+  }
+  archive.root = std::move(parent);
+  return archive;
+}
+
+TEST(ViewDepthTest, ChainAtTheLimitOpensAndRoundTripsThroughJson) {
+  const std::string gba =
+      core::EncodeGba(ChainArchive(core::kMaxOperationDepth));
+  auto view = core::ArchiveView::Open(gba);
+  ASSERT_TRUE(view.ok()) << view.status();
+  EXPECT_EQ(core::FlattenArchiveView(*view, 0).size(),
+            static_cast<size_t>(core::kMaxOperationDepth));
+  auto decoded = view->Decode();
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  auto parsed = core::PerformanceArchive::FromJsonString(
+      decoded->ToJsonString());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(core::EncodeGba(*parsed), gba);
+}
+
+TEST(ViewDepthTest, OneLevelDeeperIsCorruptionInEitherForm) {
+  const core::PerformanceArchive archive =
+      ChainArchive(core::kMaxOperationDepth + 1);
+  auto view = core::ArchiveView::Open(core::EncodeGba(archive));
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.status().code(), StatusCode::kCorruption) << view.status();
+  // The JSON parser's own nesting cap refuses the same tree: the limit is
+  // what the JSON form can hold.
+  auto json = Json::Parse(archive.ToJsonString());
+  ASSERT_FALSE(json.ok());
+  EXPECT_NE(json.status().ToString().find("nesting too deep"),
+            std::string::npos)
+      << json.status();
 }
 
 }  // namespace

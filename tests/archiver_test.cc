@@ -235,5 +235,71 @@ TEST(ArchiverTest, EnvironmentAndMetadataCarried) {
   EXPECT_EQ(archive->job_metadata.at("algorithm"), "BFS");
 }
 
+// ----------------------------------------------------- depth limit ------
+
+// A log whose operations nest `levels` deep: Root -> Step -> Step -> ...,
+// every StartOp first, then the EndOps deepest first.
+std::vector<LogRecord> ChainLog(int levels) {
+  SimTime now;
+  JobLogger logger([&now] { return now; });
+  std::vector<OpId> chain = {
+      logger.StartOperation(kNoOp, "Job", "job-0", "Root")};
+  for (int level = 2; level <= levels; ++level) {
+    now += SimTime::Seconds(1);
+    chain.push_back(
+        logger.StartOperation(chain.back(), "Worker", "w", "Step", "Step"));
+  }
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    now += SimTime::Seconds(1);
+    logger.EndOperation(*it);
+  }
+  return logger.TakeRecords();
+}
+
+PerformanceModel ChainModel() {
+  PerformanceModel model("chain");
+  (void)model.AddRoot("Job", "Root");
+  (void)model.AddOperation("Worker", "Step", "Job", "Root");
+  return model;
+}
+
+int Depth(const ArchivedOperation* op) {
+  int depth = 0;
+  for (; op != nullptr;
+       op = op->children.empty() ? nullptr : op->children[0].get()) {
+    ++depth;
+  }
+  return depth;
+}
+
+TEST(ArchiverDepthTest, ChainAtTheLimitBuildsAndRoundTripsThroughJson) {
+  for (auto tolerance :
+       {Archiver::Tolerance::kStrict, Archiver::Tolerance::kRepair}) {
+    Archiver::Options options;
+    options.tolerance = tolerance;
+    auto archive = Archiver(options).Build(
+        ChainModel(), ChainLog(kMaxOperationDepth), {}, {});
+    ASSERT_TRUE(archive.ok()) << archive.status();
+    EXPECT_EQ(Depth(archive->root.get()), kMaxOperationDepth);
+    const std::string json = archive->ToJsonString();
+    auto parsed = PerformanceArchive::FromJsonString(json);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->ToJsonString(), json);
+  }
+}
+
+TEST(ArchiverDepthTest, OneLevelDeeperIsRejectedInBothToleranceModes) {
+  for (auto tolerance :
+       {Archiver::Tolerance::kStrict, Archiver::Tolerance::kRepair}) {
+    Archiver::Options options;
+    options.tolerance = tolerance;
+    auto archive = Archiver(options).Build(
+        ChainModel(), ChainLog(kMaxOperationDepth + 1), {}, {});
+    ASSERT_FALSE(archive.ok());
+    EXPECT_EQ(archive.status().code(), StatusCode::kCorruption)
+        << archive.status();
+  }
+}
+
 }  // namespace
 }  // namespace granula::core

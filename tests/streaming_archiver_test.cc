@@ -436,5 +436,67 @@ TEST(StreamingLintTest, RecordsAfterFinishAreIgnored) {
   EXPECT_EQ(snapshot->OperationCount(), 1u);
 }
 
+// ----------------------------------------------------- depth limit ------
+
+// A log whose operations nest `levels` deep: Root -> Step -> Step -> ...,
+// every StartOp first, then the EndOps deepest first.
+std::vector<LogRecord> ChainLog(int levels) {
+  SimTime now;
+  JobLogger logger([&now] { return now; });
+  std::vector<OpId> chain = {
+      logger.StartOperation(kNoOp, "Job", "job-0", "Root")};
+  for (int level = 2; level <= levels; ++level) {
+    now += SimTime::Seconds(1);
+    chain.push_back(
+        logger.StartOperation(chain.back(), "Worker", "w", "Step", "Step"));
+  }
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    now += SimTime::Seconds(1);
+    logger.EndOperation(*it);
+  }
+  return logger.TakeRecords();
+}
+
+PerformanceModel ChainModel() {
+  PerformanceModel model("chain");
+  (void)model.AddRoot("Job", "Root");
+  (void)model.AddOperation("Worker", "Step", "Job", "Root");
+  return model;
+}
+
+TEST(StreamingDepthTest, ChainAtTheLimitMatchesBatch) {
+  const std::vector<LogRecord> records = ChainLog(kMaxOperationDepth);
+  StreamingArchiver streaming(ChainModel());
+  streaming.AppendAll(records);
+  streaming.Finish();
+  auto snapshot = streaming.Snapshot();
+  auto batch = Archiver().Build(ChainModel(), records, {}, {});
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ(snapshot->ToJsonString(), batch->ToJsonString());
+}
+
+TEST(StreamingDepthTest, DeeperStreamFailsLikeBatchWithoutWalkingIt) {
+  // One level past the limit fails as Build does.
+  StreamingArchiver one_deeper(ChainModel());
+  one_deeper.AppendAll(ChainLog(kMaxOperationDepth + 1));
+  one_deeper.Finish();
+  auto snapshot = one_deeper.Snapshot();
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption);
+
+  // A long open chain stops being ingested at the limit, so a mid-stream
+  // snapshot and Finish() never walk it recursively.
+  const int levels = 50'000;
+  const std::vector<LogRecord> records = ChainLog(levels);
+  StreamingArchiver deep(ChainModel());
+  for (int i = 0; i < levels; ++i) deep.Append(records[i]);  // StartOps
+  EXPECT_EQ(deep.stats().open_operations,
+            static_cast<uint64_t>(kMaxOperationDepth));
+  EXPECT_EQ(deep.Snapshot().status().code(), StatusCode::kCorruption);
+  deep.Finish();
+  EXPECT_EQ(deep.Snapshot().status().code(), StatusCode::kCorruption);
+}
+
 }  // namespace
 }  // namespace granula::core

@@ -421,8 +421,6 @@ class Parser {
   }
 
  private:
-  static constexpr int kMaxDepth = 256;
-
   Status Error(const std::string& what) {
     return Status::Corruption(
         StrFormat("JSON parse error at offset %zu: %s", pos_, what.c_str()));
@@ -448,7 +446,7 @@ class Parser {
   }
 
   Result<Json> ParseValue(int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
+    if (depth > Json::kMaxParseDepth) return Error("nesting too deep");
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     char c = text_[pos_];
     switch (c) {

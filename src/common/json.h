@@ -146,8 +146,10 @@ class Json {
   // the JSONL fast path (granula/monitor) for free-form payloads.
   void DumpTo(std::string& out, int indent = 0) const;
 
-  // Strict JSON parsing (RFC 8259); rejects trailing garbage.
+  // Strict JSON parsing (RFC 8259); rejects trailing garbage and values
+  // nested deeper than kMaxParseDepth (the top-level value is depth 0).
   static Result<Json> Parse(std::string_view text);
+  static constexpr int kMaxParseDepth = 256;
 
   bool operator==(const Json& other) const;
 

@@ -30,16 +30,29 @@ inline SimTime SaturatingDuration(SimTime start, SimTime end) {
   return SimTime(nanos);
 }
 
-// The deepest operation tree an archive holds (root = level 1). The JSON
-// form nests each operation level two levels below the last (the child
-// object inside its parent's "children" array), and an info value sits
-// three levels below its operation; Json::Parse accepts 256 levels of
-// nesting, so 127 is the deepest tree whose infos all still parse.
-// ArchiveView::Open rejects a GBA body deeper than this, Archiver::Build a
-// log that nests deeper, and FromJsonString a JSON tree deeper, so every
-// accepted tree round-trips through both forms and the recursive walks
-// over a tree stay shallow.
+// The JSON depth of an info value of an operation at `level` (root = 1).
+// The JSON form holds the root operation one level below the document,
+// nests each operation level two levels below the last (the child object
+// inside its parent's "children" array), and puts an info value three
+// levels below its operation ("infos", the info's object, "value").
+constexpr int InfoValueJsonDepth(int level) { return 2 * level + 2; }
+
+// The nesting an info value of an operation at `level` may have (a scalar
+// has 0, each array or object level adds one): what Json::Parse has left
+// below it, so the JSON form of every accepted archive parses.
+// ArchiveView refuses a deeper value as Corruption when it decodes it.
+constexpr int MaxInfoValueNesting(int level) {
+  return Json::kMaxParseDepth - InfoValueJsonDepth(level);
+}
+
+// The deepest operation tree an archive holds: the deepest level whose
+// scalar infos still parse. ArchiveView::Open rejects a GBA body deeper
+// than this, Archiver::Build a log that nests deeper, and FromJsonString a
+// JSON tree deeper, so every accepted tree round-trips through both forms
+// and the recursive walks over a tree stay shallow.
 inline constexpr int kMaxOperationDepth = 127;
+static_assert(MaxInfoValueNesting(kMaxOperationDepth) == 0 &&
+              MaxInfoValueNesting(kMaxOperationDepth + 1) < 0);
 
 // One piece of performance information attached to an operation (the
 // "info" of the paper's performance model, Fig. 1). `source` records the

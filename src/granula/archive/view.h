@@ -76,7 +76,8 @@ class ArchiveView {
     std::string_view info_name(uint32_t k) const;
     std::string_view info_source(uint32_t k) const;
     // Full value decode — the only accessor that allocates (and the only
-    // one that can fail: interior value tags are validated lazily).
+    // one that can fail: interior value tags, and nesting past
+    // MaxInfoValueNesting of this op's level, are refused lazily).
     Result<Json> info_value(uint32_t k) const;
 
     bool HasInfo(std::string_view name) const;
@@ -100,13 +101,15 @@ class ArchiveView {
 
    private:
     friend class ArchiveView;
-    Op(const ArchiveView* view, uint32_t row, uint32_t sibling_end)
-        : view_(view), row_(row), sibling_end_(sibling_end) {}
+    Op(const ArchiveView* view, uint32_t row, uint32_t sibling_end,
+       int level)
+        : view_(view), row_(row), sibling_end_(sibling_end), level_(level) {}
 
     const ArchiveView* view_ = nullptr;
     uint32_t row_ = 0;
     // Exclusive row bound for NextSibling(): the parent's subtree end.
     uint32_t sibling_end_ = 0;
+    int level_ = 0;  // root = 1; bounds the nesting of this op's infos
   };
 
   uint32_t operation_count() const { return ops_count_; }
@@ -174,8 +177,8 @@ class ArchiveView {
                       double* out_double) const;
   SimTime TimeInfo(const Op& op, std::optional<uint32_t> sym) const;
   // Full value decode at absolute offset `off`, advancing it past the
-  // value; `depth` bounds the nesting a hostile file can force.
-  Result<Json> DecodeValue(uint64_t& off, int depth) const;
+  // value; Corruption when the value nests more than `max_nesting` levels.
+  Result<Json> DecodeValue(uint64_t& off, int max_nesting) const;
   // Materialises `op` and its subtree, cut to `levels` levels (<= 0: all).
   Result<OperationPtr> DecodeOp(const Op& op, int levels) const;
   // Index of the info row named `sym` within [begin, begin+count), or -1.

@@ -339,17 +339,15 @@ Result<SweepResult> RunSweep(const SweepSpec& spec,
     }
   };
 
-  if (options.parallel) {
-    // One job per chunk; the engines' own ParallelFor calls run inline
-    // when invoked from inside a chunk, so the pool is never oversubscribed
-    // and every job computes exactly what it would compute alone.
-    ParallelFor(0, jobs.size(), 1,
-                [&](uint64_t, uint64_t begin, uint64_t end) {
-                  for (uint64_t i = begin; i < end; ++i) run_one(i);
-                });
-  } else {
-    for (size_t i = 0; i < jobs.size(); ++i) run_one(i);
-  }
+  // One job per chunk on the host pool (GRANULA_HOST_THREADS); the
+  // engines' own ParallelFor calls run inline when invoked from inside a
+  // chunk, so the pool is never oversubscribed and every job computes
+  // exactly what it would compute alone. Archives are saved under explicit
+  // names in expansion order, so the repository bytes do not depend on the
+  // thread count.
+  ParallelFor(0, jobs.size(), 1, [&](uint64_t, uint64_t begin, uint64_t end) {
+    for (uint64_t i = begin; i < end; ++i) run_one(i);
+  });
 
   SweepResult sweep;
   for (size_t i = 0; i < jobs.size(); ++i) {

@@ -74,11 +74,6 @@ Result<std::vector<SweepJob>> ExpandSweep(const SweepSpec& spec);
 
 struct SweepOptions {
   std::string repo_dir = "sweep-archives";
-  // Fan the jobs across the host pool (GRANULA_HOST_THREADS). Each job is
-  // itself deterministic, and archives are saved under explicit names in
-  // expansion order, so the repository bytes do not depend on the thread
-  // count. false = run strictly sequentially.
-  bool parallel = true;
 };
 
 struct SweepJobSummary {

@@ -273,19 +273,6 @@ TEST(RunSweepTest, RepositoryBytesAreIdenticalAcrossHostThreadCounts) {
   ThreadPool::Global().Resize(original_threads);
 }
 
-TEST(RunSweepTest, SequentialAndParallelProduceTheSameBytes) {
-  Result<SweepSpec> spec = SweepSpec::FromJson(ParseJson(kSmallConfig));
-  ASSERT_TRUE(spec.ok()) << spec.status();
-  SweepOptions parallel;
-  parallel.repo_dir = TempDir("par");
-  SweepOptions sequential;
-  sequential.repo_dir = TempDir("seq");
-  sequential.parallel = false;
-  ASSERT_TRUE(RunSweep(*spec, parallel).ok());
-  ASSERT_TRUE(RunSweep(*spec, sequential).ok());
-  EXPECT_EQ(RepoFiles(parallel.repo_dir), RepoFiles(sequential.repo_dir));
-}
-
 TEST(RunSweepTest, UnsupportedPairFailsBeforeAnyArchiveIsSaved) {
   SweepSpec spec;
   spec.platforms = {"giraph", "powergraph", "hadoop"};

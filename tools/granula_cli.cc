@@ -22,7 +22,7 @@
 //                    [--faults=NAME=SPEC (repeatable)]
 //                    [--iterations=10] [--source=1] [--max-attempts=4]
 //                    [--checkpoint-interval=2] [--model-level=0]
-//                    [--repo=sweep-archives] [--sequential]
+//                    [--repo=sweep-archives]
 //                    [--report-out=report.txt]
 //                    [--baseline=DIR] [--tolerance=0.1] [--depth=0]
 //                    (runs the platforms x algorithms x graphs x nodes

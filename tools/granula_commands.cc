@@ -406,7 +406,6 @@ Result<int> CmdBench(const Flags& flags, std::FILE* out, std::FILE* err) {
 
   bench::SweepOptions options;
   options.repo_dir = flags.Get("repo", "sweep-archives");
-  options.parallel = !flags.Has("sequential");
 
   // Expand first: every axis typo surfaces as a usage error before any
   // job has run.

@@ -1,14 +1,19 @@
 // Host-parallelism benchmarks: superstep compute throughput versus
 // GRANULA_HOST_THREADS (the ISSUE acceptance axis — >=3x at 8 threads on a
 // >=1M-scale graph, given >=8 physical cores), plus microbenches for the
-// sharded MessageStore deliver/merge path and parallel CSR construction.
+// sharded MessageStore deliver/merge path, CSR construction and the
+// edge-list file reader.
 //
 // Every benchmark sweeps the thread axis via ThreadPool::Global().Resize(),
 // so one process produces the whole scaling curve; tools/run_bench.sh emits
 // the curve as BENCH_engine.json. The axis stops at the host's core count:
 // more pool threads than cores only measure oversubscription.
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +21,7 @@
 #include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/io.h"
 #include "platforms/graphmat.h"
 #include "platforms/hadoop.h"
 #include "platforms/message_store.h"
@@ -138,7 +144,8 @@ BENCHMARK(BM_MessageStoreDeliverMerge)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Parallel CSR construction over the big graph's edge list.
+// Undirected CSR construction over the big graph's edge list (a counting
+// build on the calling thread: the axis shows it does not use the pool).
 void BM_CsrBuild(benchmark::State& state) {
   const graph::Graph& g = BigGraph();
   ThreadPool::Global().Resize(static_cast<int>(state.range(0)));
@@ -154,6 +161,32 @@ BENCHMARK(BM_CsrBuild)
     ->Apply(ThreadAxis)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// Parsing a 50k-vertex Datagen edge-list file (the perfbench sweep graph's
+// size, ~375k edges, ~4 MB) into a Graph: one read, single-threaded.
+void BM_ReadEdgeListFile(benchmark::State& state) {
+  graph::DatagenConfig config;
+  config.num_vertices = 50'000;
+  const graph::Graph g = std::move(graph::GenerateDatagen(config)).value();
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("granula_bench_graph_" + std::to_string(::getpid()) + ".el"))
+          .string();
+  if (!graph::WriteEdgeListFile(g, path).ok()) {
+    state.SkipWithError("cannot write the edge-list file");
+    return;
+  }
+  for (auto _ : state) {
+    auto read = graph::ReadEdgeListFile(path, /*directed=*/false);
+    benchmark::DoNotOptimize(read);
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(g.num_edges()));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(graph::EdgeListFileBytes(g)));
+}
+BENCHMARK(BM_ReadEdgeListFile)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace granula

@@ -15,8 +15,8 @@ namespace granula::core {
 // format, GBA is what a repository serving millions of analysts actually
 // reads. Design goals, in order:
 //
-//  1. Byte-exact interchange round trip:
-//       ArchiveView::Open(EncodeGba(a))->Decode()->ToJsonString()
+//  1. Byte-exact interchange round trip: with bytes = EncodeGba(a),
+//       ArchiveView::Open(bytes)->Decode()->ToJsonString()
 //           == a.ToJsonString()
 //     for every archive this codebase can produce (asserted over all five
 //     platforms in tests/gba_test.cc).

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "common/result.h"
@@ -46,6 +47,9 @@ class ArchiveView {
   // truncation, corrupt columns); InvalidArgument for a future version
   // this build cannot read.
   static Result<ArchiveView> Open(std::string_view bytes);
+  // A temporary string would be freed while the view still reads it:
+  // name the bytes first.
+  static Result<ArchiveView> Open(std::string&&) = delete;
 
   // A borrowed cursor for one operation row. Default-constructed ops are
   // invalid (operator bool is false) — FirstChild() on a leaf and

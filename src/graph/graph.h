@@ -2,6 +2,7 @@
 #define GRANULA_GRAPH_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -18,12 +19,19 @@ struct Edge {
   bool operator==(const Edge&) const = default;
 };
 
+class Csr;
+
 // An immutable graph held as an edge list. Vertices are dense ids in
 // [0, num_vertices). Platform engines partition the edge list and build
-// local adjacency; analysis code builds a Csr (see below).
+// local adjacency, or traverse the graph's one shared UndirectedCsr().
+//
+// What depends only on the edges (the undirected CSR, the edge-list file
+// size) is computed at most once per graph, on first use, and shared
+// read-only by every caller on any thread and by every copy of the Graph.
+// A moved-from Graph may only be assigned to or destroyed.
 class Graph {
  public:
-  Graph() = default;
+  Graph();
 
   // Validates that every endpoint is < num_vertices.
   static Result<Graph> Create(uint64_t num_vertices, std::vector<Edge> edges,
@@ -38,25 +46,33 @@ class Graph {
   // ("1.03 billion vertices and edges").
   uint64_t scale() const { return num_vertices_ + num_edges(); }
 
+  // Csr::BuildUndirected(num_vertices(), edges()), built on the first call
+  // and shared from then on. Thread-safe.
+  const Csr& UndirectedCsr() const;
+
  private:
-  Graph(uint64_t num_vertices, std::vector<Edge> edges, bool directed)
-      : num_vertices_(num_vertices),
-        edges_(std::move(edges)),
-        directed_(directed) {}
+  struct Derived;
+  friend uint64_t EdgeListFileBytes(const Graph& graph);
+
+  Graph(uint64_t num_vertices, std::vector<Edge> edges, bool directed);
 
   uint64_t num_vertices_ = 0;
   std::vector<Edge> edges_;
   bool directed_ = true;
+  std::shared_ptr<Derived> derived_;
 };
 
 // Compressed sparse row adjacency built from a Graph. For undirected graphs
 // each edge appears in both endpoints' neighbor lists. For directed graphs,
-// `out` selects out- or in-neighbors. Construction runs on the host thread
-// pool (parallel counting, prefix sum, placement, per-vertex sort); the
-// result is identical for every host-thread count because neighbor lists
-// are sorted.
+// `out` selects out- or in-neighbors. Every neighbor list is sorted (a
+// parallel edge appears once per copy). Construction is two stable
+// counting passes on the calling thread: arcs are grouped by target, then
+// the groups are walked in target order and each arc is placed in its
+// source's list, so the lists come out sorted with no atomics and no
+// per-vertex sort, and the result never depends on the host-thread count.
 class Csr {
  public:
+  // An undirected graph's CSR is a copy of graph.UndirectedCsr().
   static Csr Build(const Graph& graph, bool out = true);
 
   // Adjacency of the *undirected view* of an edge set: both endpoints list
@@ -82,7 +98,8 @@ class Csr {
 
 // Size in bytes of the graph rendered as a whitespace-separated decimal
 // edge-list text file ("src dst\n" per edge) — the format both simulated
-// platforms read. Drives every simulated I/O duration.
+// platforms read. Drives every simulated I/O duration. Computed once per
+// graph and shared like UndirectedCsr().
 uint64_t EdgeListFileBytes(const Graph& graph);
 
 // Size in bytes of a vertex-list text file ("id\n" per vertex).

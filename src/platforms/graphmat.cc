@@ -25,7 +25,8 @@ class GraphMatJob : public GasJob {
       : GasJob(graph, program, cluster_config, job_config, "Rank"),
         cost_(cost),
         sharedfs_(&cluster_, /*server_node=*/0),
-        mpi_(&cluster_) {}
+        mpi_(&cluster_),
+        adjacency_(graph.UndirectedCsr()) {}
 
  private:
   const char* JobName() const override { return "GraphMatJob"; }
@@ -36,10 +37,6 @@ class GraphMatJob : public GasJob {
     // Row partitioning: the matrix row of vertex v lives on its owner.
     GRANULA_ASSIGN_OR_RETURN(
         partition_, graph::PartitionEdgeCut(graph_, job_config_.num_workers));
-    // Undirected adjacency in CSR form (the matrix slice rows), built on
-    // the host pool; vertex degree comes from the CSR.
-    adjacency_ = graph::Csr::BuildUndirected(graph_.num_vertices(),
-                                             graph_.edges());
     return Status::OK();
   }
 
@@ -208,9 +205,11 @@ class GraphMatJob : public GasJob {
   cluster::SharedFs sharedfs_;
   cluster::MpiLauncher mpi_;
 
-  // Inputs: the row partitioning and the matrix (undirected CSR).
+  // Inputs: the row partitioning and the matrix: the graph's shared
+  // undirected CSR, whose rows are the slices and which gives each
+  // vertex's degree.
   graph::EdgeCutResult partition_;
-  graph::Csr adjacency_;
+  const graph::Csr& adjacency_;
 };
 
 }  // namespace

@@ -26,7 +26,8 @@ class PgxdJob : public GasJob {
         cost_(cost),
         direction_(direction),
         localfs_(&cluster_),
-        outbox_(graph.num_vertices()) {}
+        outbox_(graph.num_vertices()),
+        adjacency_(graph.UndirectedCsr()) {}
 
  private:
   const char* JobName() const override { return "PgxdJob"; }
@@ -41,10 +42,6 @@ class PgxdJob : public GasJob {
     }
     GRANULA_ASSIGN_OR_RETURN(partition_,
                              graph::PartitionEdgeCut(graph_, nodes));
-    // Undirected adjacency in CSR form, built on the host pool; vertex
-    // degree comes from the CSR.
-    adjacency_ = graph::Csr::BuildUndirected(graph_.num_vertices(),
-                                             graph_.edges());
     return Status::OK();
   }
 
@@ -305,9 +302,10 @@ class PgxdJob : public GasJob {
   cluster::LocalFs localfs_;
   ShardedOutbox<double> outbox_;  // push contributions
 
-  // Inputs: the edge-cut partitioning and the undirected CSR.
+  // Inputs: the edge-cut partitioning and the graph's shared undirected
+  // CSR, which also gives each vertex's degree.
   graph::EdgeCutResult partition_;
-  graph::Csr adjacency_;
+  const graph::Csr& adjacency_;
   // The current and next frontiers' incident-edge counts, and the
   // direction chosen for the current iteration.
   uint64_t frontier_edges_ = 0;

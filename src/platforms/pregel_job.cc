@@ -94,6 +94,7 @@ PregelJob::PregelJob(const graph::Graph& graph,
       program_(program),
       hdfs_(&cluster_, HdfsOptionsFor(cluster_config)),
       yarn_(&cluster_),
+      adjacency_(graph.UndirectedCsr()),
       messages_(graph.num_vertices(), program.combiner()) {}
 
 Status PregelJob::Setup() {
@@ -118,9 +119,6 @@ Status PregelJob::Setup() {
   // Per-partition counts of the merged messages let a partition with
   // nothing to compute skip its vertex scan.
   messages_.SetOwners(&partition_.owner, workers);
-  // Undirected adjacency, shared by all workers (each consults only its
-  // owned vertices). Built on the host pool.
-  adjacency_ = graph::Csr::BuildUndirected(n, graph_.edges());
   return Status::OK();
 }
 

@@ -32,8 +32,7 @@ class PregelJob : public EngineJob {
             const JobConfig& job_config);
 
  protected:
-  // The edge file on HDFS, the partition, the adjacency and the initial
-  // vertex state.
+  // The edge file on HDFS, the partition and the initial vertex state.
   Status Setup() override;
 
   uint32_t WorkerNode(uint32_t worker) const {
@@ -73,7 +72,9 @@ class PregelJob : public EngineJob {
   std::vector<cluster::YarnManager::Container> containers_;
 
   graph::EdgeCutResult partition_;
-  graph::Csr adjacency_;
+  // The graph's shared undirected adjacency; every worker consults only
+  // its owned vertices.
+  const graph::Csr& adjacency_;
   std::vector<uint8_t> active_;
   // Live counts of active vertices, total and per partition, updated with
   // per-chunk deltas instead of scanning all vertices.

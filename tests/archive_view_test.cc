@@ -456,8 +456,8 @@ TEST(ViewFormatTest, TruncationIsRejectedAtOpenNeverACrash) {
   const std::string gba = core::EncodeGba(archive);
   for (size_t cut : {size_t{0}, size_t{4}, size_t{16}, size_t{71},
                      gba.size() / 4, gba.size() / 2, gba.size() - 1}) {
-    EXPECT_FALSE(core::ArchiveView::Open(gba.substr(0, cut)).ok())
-        << "cut at " << cut;
+    const std::string prefix = gba.substr(0, cut);
+    EXPECT_FALSE(core::ArchiveView::Open(prefix).ok()) << "cut at " << cut;
   }
 }
 
@@ -737,7 +737,8 @@ TEST(ViewDepthTest, ChainAtTheLimitOpensAndRoundTripsThroughJson) {
 TEST(ViewDepthTest, OneLevelDeeperIsCorruptionInEitherForm) {
   const core::PerformanceArchive archive =
       ChainArchive(core::kMaxOperationDepth + 1);
-  auto view = core::ArchiveView::Open(core::EncodeGba(archive));
+  const std::string gba = core::EncodeGba(archive);
+  auto view = core::ArchiveView::Open(gba);
   ASSERT_FALSE(view.ok());
   EXPECT_EQ(view.status().code(), StatusCode::kCorruption) << view.status();
   // The JSON parser's own nesting cap refuses the same tree: the limit is

@@ -327,7 +327,8 @@ TEST(GbaFormatTest, SizeMismatchAndCorruptColumnsAreCorruption) {
   core::PerformanceArchive archive = BuildArchive(0, algo::AlgorithmId::kBfs);
   const std::string gba = core::EncodeGba(archive);
 
-  EXPECT_EQ(core::ArchiveView::Open(gba + '\0').status().code(),
+  const std::string padded = gba + '\0';
+  EXPECT_EQ(core::ArchiveView::Open(padded).status().code(),
             StatusCode::kCorruption);
 
   auto get_u64 = [](const std::string& bytes, uint64_t at) {
@@ -375,7 +376,8 @@ TEST(GbaFormatTest, TruncationIsCorruptionNeverACrash) {
   // points, always including the header boundary.
   for (size_t cut : {size_t{0}, size_t{4}, size_t{16}, size_t{71},
                      gba.size() / 4, gba.size() / 2, gba.size() - 1}) {
-    auto view = core::ArchiveView::Open(gba.substr(0, cut));
+    const std::string prefix = gba.substr(0, cut);
+    auto view = core::ArchiveView::Open(prefix);
     ASSERT_FALSE(view.ok()) << "cut at " << cut;
     EXPECT_EQ(view.status().code(), StatusCode::kCorruption)
         << "cut at " << cut;

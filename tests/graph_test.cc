@@ -1,5 +1,10 @@
 #include "graph/graph.h"
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -62,6 +67,148 @@ TEST(CsrTest, ParallelEdgesKept) {
   Csr csr = Csr::Build(*g);
   EXPECT_EQ(csr.degree(0), 2u);
   EXPECT_EQ(csr.degree(1), 2u);
+}
+
+// Sort-based reference for the counting build: every arc the build should
+// emit, grouped by source with each list sorted.
+enum class Arcs { kOut, kIn, kBoth };
+
+std::vector<std::vector<VertexId>> ReferenceLists(uint64_t n,
+                                                  std::span<const Edge> edges,
+                                                  Arcs arcs) {
+  std::vector<std::vector<VertexId>> lists(n);
+  for (const Edge& e : edges) {
+    if (arcs != Arcs::kIn) lists[e.src].push_back(e.dst);
+    if (arcs != Arcs::kOut) lists[e.dst].push_back(e.src);
+  }
+  for (std::vector<VertexId>& list : lists) std::sort(list.begin(), list.end());
+  return lists;
+}
+
+void ExpectMatchesReference(const Csr& csr,
+                            const std::vector<std::vector<VertexId>>& lists) {
+  ASSERT_EQ(csr.num_vertices(), lists.size());
+  uint64_t arcs = 0;
+  for (VertexId v = 0; v < lists.size(); ++v) {
+    std::span<const VertexId> got = csr.neighbors(v);
+    ASSERT_EQ(std::vector<VertexId>(got.begin(), got.end()), lists[v])
+        << "vertex " << v;
+    EXPECT_EQ(csr.degree(v), lists[v].size());
+    arcs += lists[v].size();
+  }
+  EXPECT_EQ(csr.num_arcs(), arcs);
+}
+
+std::vector<Graph> ReferenceGraphs(bool directed) {
+  std::vector<Graph> graphs;
+  auto add = [&](const Graph& g) {
+    graphs.push_back(*Graph::Create(g.num_vertices(), g.edges(), directed));
+  };
+  DatagenConfig datagen;
+  datagen.num_vertices = 3000;
+  datagen.avg_degree = 8.0;
+  datagen.seed = 11;
+  add(*GenerateDatagen(datagen));
+  RmatConfig rmat;
+  rmat.scale = 10;
+  rmat.edge_factor = 8.0;
+  rmat.seed = 5;
+  add(*GenerateRmat(rmat));
+  add(*GenerateUniform(500, 4000, 9));
+  // Self-loops, parallel edges in both orientations, isolated vertices
+  // (0, 4 and 7), and a last vertex with arcs.
+  add(*Graph::Create(
+      9, {{3, 3}, {1, 2}, {2, 1}, {1, 2}, {5, 8}, {8, 8}, {3, 1}, {6, 5}},
+      directed));
+  add(*Graph::Create(0, {}, directed));
+  add(*Graph::Create(5, {}, directed));
+  return graphs;
+}
+
+TEST(CsrTest, UndirectedBuildMatchesSortedReference) {
+  for (const Graph& g : ReferenceGraphs(/*directed=*/false)) {
+    SCOPED_TRACE(g.num_vertices());
+    const auto lists = ReferenceLists(g.num_vertices(), g.edges(), Arcs::kBoth);
+    ExpectMatchesReference(Csr::BuildUndirected(g.num_vertices(), g.edges()),
+                           lists);
+    ExpectMatchesReference(Csr::Build(g), lists);
+    ExpectMatchesReference(g.UndirectedCsr(), lists);
+  }
+}
+
+TEST(CsrTest, DirectedBuildsMatchSortedReference) {
+  for (const Graph& g : ReferenceGraphs(/*directed=*/true)) {
+    SCOPED_TRACE(g.num_vertices());
+    const uint64_t n = g.num_vertices();
+    ExpectMatchesReference(Csr::Build(g, /*out=*/true),
+                           ReferenceLists(n, g.edges(), Arcs::kOut));
+    ExpectMatchesReference(Csr::Build(g, /*out=*/false),
+                           ReferenceLists(n, g.edges(), Arcs::kIn));
+    // The engines traverse every graph undirected.
+    ExpectMatchesReference(g.UndirectedCsr(),
+                           ReferenceLists(n, g.edges(), Arcs::kBoth));
+  }
+}
+
+TEST(CsrTest, UndirectedBuildOfAnEdgeSubset) {
+  // PowerGraph builds per-rank adjacency from a slice of the edge list.
+  auto g = GenerateUniform(400, 3000, 4);
+  ASSERT_TRUE(g.ok());
+  std::span<const Edge> slice(g->edges().data() + 700, 900);
+  ExpectMatchesReference(Csr::BuildUndirected(400, slice),
+                         ReferenceLists(400, slice, Arcs::kBoth));
+}
+
+TEST(SharedCsrTest, CopiesShareOneCsrAndFileSize) {
+  auto g = GenerateUniform(300, 2000, 2);
+  ASSERT_TRUE(g.ok());
+  Graph copy = *g;
+  EXPECT_EQ(&copy.UndirectedCsr(), &g->UndirectedCsr());
+  EXPECT_EQ(&g->UndirectedCsr(), &g->UndirectedCsr());
+  // A graph built from the same edges is a different graph with its own.
+  auto rebuilt = Graph::Create(g->num_vertices(), g->edges(), false);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_NE(&rebuilt->UndirectedCsr(), &g->UndirectedCsr());
+  uint64_t bytes = 0;
+  for (const Edge& e : g->edges()) {
+    bytes += std::to_string(e.src).size() + std::to_string(e.dst).size() + 2;
+  }
+  EXPECT_EQ(EdgeListFileBytes(*g), bytes);
+  EXPECT_EQ(EdgeListFileBytes(copy), bytes);
+}
+
+TEST(SharedCsrTest, ConcurrentFirstCallsBuildOnce) {
+  DatagenConfig config;
+  config.num_vertices = 20000;
+  config.avg_degree = 10.0;
+  config.seed = 3;
+  auto g = GenerateDatagen(config);
+  ASSERT_TRUE(g.ok());
+  constexpr int kThreads = 8;
+  std::vector<const Csr*> seen(kThreads, nullptr);
+  std::vector<const VertexId*> storage(kThreads, nullptr);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const Csr& csr = g->UndirectedCsr();
+      seen[t] = &csr;
+      storage[t] = csr.neighbors(0).data();
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+  // One object, and its arc array was never replaced: a second build
+  // would have moved a freshly allocated array into it after some thread
+  // had already read the first one.
+  const Csr& csr = g->UndirectedCsr();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], &csr);
+    EXPECT_EQ(storage[t], csr.neighbors(0).data());
+  }
+  ExpectMatchesReference(
+      csr, ReferenceLists(g->num_vertices(), g->edges(), Arcs::kBoth));
 }
 
 TEST(FileBytesTest, EdgeListBytesExact) {

@@ -21,6 +21,10 @@ Status WriteEdgeListFile(const Graph& graph, const std::string& path);
 // Reads an edge-list text file. Vertex ids may be arbitrary (sparse)
 // uint64 values; they are densified to [0, n) in first-appearance order.
 // `directed` tags the result; duplicate edges and self-loops are kept.
+// Lines split on '\n' only; each non-comment line starts with two decimal
+// fields read as `std::istream >> uint64_t` would (optional sign, '-'
+// wrapping modulo 2^64) and may carry anything after them. A bad line is
+// Corruption naming "path:LINE:"; an unreadable file is IoError.
 Result<Graph> ReadEdgeListFile(const std::string& path, bool directed);
 
 // Writes per-vertex values as "vertex value\n" lines (the simulated

@@ -1,6 +1,8 @@
 #include "granula/bench/sweep.h"
 
 #include <cctype>
+#include <climits>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <set>
@@ -107,9 +109,11 @@ Result<SweepSpec> SweepSpec::FromJson(const Json& json) {
     const Json::Array& items =
         nodes->is_array() ? nodes->AsArray() : one_node;
     for (const Json& item : items) {
-      if (!item.is_int() || item.AsInt() <= 0) {
+      // 32-bit fields: a larger number is an error, not a wrapped value.
+      if (!item.is_int() || item.AsInt() <= 0 || item.AsInt() > UINT32_MAX) {
         return Status::InvalidArgument(
-            "sweep config: 'nodes' entries must be positive integers");
+            "sweep config: 'nodes' entries must be positive 32-bit "
+            "integers");
       }
       spec.node_counts.push_back(static_cast<uint32_t>(item.AsInt()));
     }
@@ -147,9 +151,9 @@ Result<SweepSpec> SweepSpec::FromJson(const Json& json) {
     spec.source = v->AsInt();
   }
   if (const Json* v = json.Find("max_attempts")) {
-    if (!v->is_int() || v->AsInt() <= 0) {
+    if (!v->is_int() || v->AsInt() <= 0 || v->AsInt() > UINT32_MAX) {
       return Status::InvalidArgument(
-          "sweep config: 'max_attempts' must be a positive integer");
+          "sweep config: 'max_attempts' must be a positive 32-bit integer");
     }
     spec.max_attempts = static_cast<uint32_t>(v->AsInt());
   }
@@ -161,9 +165,9 @@ Result<SweepSpec> SweepSpec::FromJson(const Json& json) {
     spec.checkpoint_interval = static_cast<uint64_t>(v->AsInt());
   }
   if (const Json* v = json.Find("model_level")) {
-    if (!v->is_int() || v->AsInt() < 0) {
+    if (!v->is_int() || v->AsInt() < 0 || v->AsInt() > INT_MAX) {
       return Status::InvalidArgument(
-          "sweep config: 'model_level' must be >= 0");
+          "sweep config: 'model_level' must be in [0, 2^31)");
     }
     spec.model_level = static_cast<int>(v->AsInt());
   }

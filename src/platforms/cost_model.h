@@ -9,7 +9,7 @@ namespace granula::platform {
 //
 // Calibration methodology (see DESIGN.md): the constants below are inputs,
 // fixed once, chosen so that the *reference workload* (BFS on the Datagen-
-// like graph of bench/workloads.h, 8 nodes) lands near the paper's Fig. 5
+// like graph of bench/paper_numbers.cc, 8 nodes) lands near the paper's Fig. 5
 // proportions. Everything else — per-superstep imbalance, the PowerGraph
 // single-loader idle pattern, barrier waits — is emergent from structure,
 // not tuned. The same constants drive every experiment and test.

@@ -1,107 +1,105 @@
-// The reproduction's headline numbers, checked instead of only printed by
-// bench/fig*: Fig. 5's domain-level breakdowns, Fig. 7's sequential-read
-// fraction, Fig. 8's dominant superstep, and the introduction's
-// Hadoop/Giraph processing-time penalty, all on the dg_scale reference
-// workload of bench/workloads.h. Runs are deterministic virtual-time
-// simulations, so the tolerances only absorb rounding of the recorded
-// figures (EXPERIMENTS.md).
+// Every number the paper-artifact benches print, checked instead of only
+// printed: each artifact function of bench/paper_numbers.cc (the one its
+// binary prints from) runs here, and its rows must equal
+// tests/data/paper_numbers.txt, the table EXPERIMENTS.md quotes. A
+// computed row missing from the table fails, and so does a table row
+// its artifact no longer computes. Runs are deterministic virtual-time
+// simulations, so a tolerance only absorbs the rounding of the recorded
+// figure. The slow artifacts run as separate ctest entries
+// (tests/CMakeLists.txt).
 
+#include <fstream>
+#include <map>
+#include <ostream>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "bench/workloads.h"
-#include "platforms/hadoop.h"
+#include "bench/paper_numbers.h"
+#include "common/strings.h"
 
 namespace granula::bench {
+
+void PrintTo(const ArtifactFunction& artifact, std::ostream* os) {
+  *os << artifact.binary;
+}
+
 namespace {
 
-struct Breakdown {
-  double setup = 0;
-  double io = 0;
-  double processing = 0;
+struct Expected {
+  double value = 0;
+  double tolerance = 0;
 };
 
-Breakdown SharesOf(const core::PerformanceArchive& archive) {
-  const core::ArchivedOperation& root = *archive.root;
-  double total = root.Duration().seconds();
-  return {root.InfoNumber("SetupTime") * 1e-9 / total,
-          root.InfoNumber("IoTime") * 1e-9 / total,
-          root.InfoNumber("ProcessingTime") * 1e-9 / total};
-}
-
-double ProcessingSeconds(const platform::JobResult& result) {
-  auto archive = core::Archiver().Build(
-      core::MakeGraphProcessingDomainModel(), result.records, {}, {});
-  EXPECT_TRUE(archive.ok()) << archive.status();
-  return archive->root->InfoNumber("ProcessingTime") * 1e-9;
-}
-
-class PaperNumbersTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    giraph_ = new platform::JobResult(RunGiraphReferenceJob());
-    powergraph_ = new platform::JobResult(RunPowerGraphReferenceJob());
-  }
-  static void TearDownTestSuite() {
-    delete giraph_;
-    delete powergraph_;
-  }
-
-  static platform::JobResult* giraph_;
-  static platform::JobResult* powergraph_;
-};
-
-platform::JobResult* PaperNumbersTest::giraph_ = nullptr;
-platform::JobResult* PaperNumbersTest::powergraph_ = nullptr;
-
-TEST_F(PaperNumbersTest, Fig5GiraphBreakdown) {
-  Breakdown b =
-      SharesOf(ArchiveJob(*giraph_, core::MakeGiraphModel(), "Giraph"));
-  EXPECT_NEAR(b.setup * 100, 30.4, 0.1);
-  EXPECT_NEAR(b.io * 100, 46.6, 0.1);
-  EXPECT_NEAR(b.processing * 100, 23.1, 0.1);
-}
-
-TEST_F(PaperNumbersTest, Fig5PowerGraphIoShare) {
-  Breakdown b = SharesOf(
-      ArchiveJob(*powergraph_, core::MakePowerGraphModel(), "PowerGraph"));
-  EXPECT_NEAR(b.io * 100, 96.8, 0.1);
-}
-
-TEST_F(PaperNumbersTest, Fig7SequentialReadFraction) {
-  core::PerformanceArchive archive =
-      ArchiveJob(*powergraph_, core::MakePowerGraphModel(), "PowerGraph");
-  const core::ArchivedOperation* load =
-      archive.FindByPath("PowerGraphJob/LoadGraph");
-  ASSERT_NE(load, nullptr);
-  EXPECT_NEAR(load->InfoNumber("SequentialReadFraction") * 100, 93.8, 0.1);
-}
-
-TEST_F(PaperNumbersTest, Fig8Compute4IsTheHeaviestSuperstep) {
-  core::PerformanceArchive archive =
-      ArchiveJob(*giraph_, core::MakeGiraphModel(), "Giraph");
-  std::string heaviest;
-  double heaviest_seconds = 0;
-  for (const core::ArchivedOperation* op :
-       archive.FindOperations("Worker", "Compute")) {
-    double seconds = op->Duration().seconds();
-    if (seconds > heaviest_seconds) {
-      heaviest_seconds = seconds;
-      heaviest = op->mission_id;
+// Lines of "name value tolerance"; '#' starts a comment line.
+std::map<std::string, Expected> LoadTable() {
+  std::ifstream in(std::string(GRANULA_TEST_DATA_DIR) + "/paper_numbers.txt");
+  std::map<std::string, Expected> table;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name;
+    Expected expected;
+    if (!(fields >> name >> expected.value >> expected.tolerance) ||
+        expected.tolerance < 0) {
+      ADD_FAILURE() << "malformed table line: " << line;
+      continue;
     }
+    EXPECT_TRUE(table.emplace(name, expected).second)
+        << "duplicate table row " << name;
   }
-  EXPECT_EQ(heaviest, "Compute-4");
+  EXPECT_FALSE(table.empty()) << "cannot read paper_numbers.txt";
+  return table;
 }
 
-TEST_F(PaperNumbersTest, HadoopProcessingPenaltyOverGiraph) {
-  auto hadoop = platform::HadoopPlatform().Run(
-      MakeDgScaleGraph(), MakeBfsSpec(), MakeDas5LikeCluster(),
-      MakeJobConfig());
-  ASSERT_TRUE(hadoop.ok()) << hadoop.status();
-  EXPECT_NEAR(ProcessingSeconds(*hadoop) / ProcessingSeconds(*giraph_), 15.4,
-              0.05);
+TEST(PaperNumbersTableTest, EveryRowBelongsToAnArtifact) {
+  for (const auto& [name, expected] : LoadTable()) {
+    bool known = false;
+    for (const ArtifactFunction& artifact : kArtifacts) {
+      known = known || StartsWith(name, std::string(artifact.prefix) + ".");
+    }
+    EXPECT_TRUE(known) << "no artifact computes " << name;
+  }
 }
+
+class PaperNumbersTest : public testing::TestWithParam<ArtifactFunction> {};
+
+TEST_P(PaperNumbersTest, RowsMatchTheTable) {
+  const std::string prefix = std::string(GetParam().prefix) + ".";
+  Result<Artifact> artifact = GetParam().compute();
+  ASSERT_TRUE(artifact.ok()) << artifact.status();
+
+  std::map<std::string, Expected> table;
+  for (const auto& [name, expected] : LoadTable()) {
+    if (StartsWith(name, prefix)) table.emplace(name, expected);
+  }
+  std::set<std::string> computed;
+  for (const Row& row : artifact->rows) {
+    EXPECT_TRUE(StartsWith(row.name, prefix)) << row.name;
+    EXPECT_TRUE(computed.insert(row.name).second)
+        << "row computed twice: " << row.name;
+    auto it = table.find(row.name);
+    if (it == table.end()) {
+      ADD_FAILURE() << "computed row missing from the table: "
+                    << StrFormat("%s %.10g", row.name.c_str(), row.value);
+      continue;
+    }
+    EXPECT_NEAR(row.value, it->second.value, it->second.tolerance)
+        << row.name;
+  }
+  for (const auto& [name, expected] : table) {
+    EXPECT_EQ(computed.count(name), 1u) << "table row never computed: " << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Artifacts, PaperNumbersTest, testing::ValuesIn(kArtifacts),
+    [](const testing::TestParamInfo<ArtifactFunction>& info) {
+      return std::string(info.param.prefix);
+    });
 
 }  // namespace
 }  // namespace granula::bench

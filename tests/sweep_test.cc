@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -15,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/random.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "granula/analysis/comparative.h"
 #include "granula/archive/repository.h"
@@ -93,6 +96,125 @@ TEST(SweepSpecTest, NonPositiveNodeCountIsRejected) {
           "graphs": ["uniform:300,1200"], "nodes": [4, 0]})"));
   ASSERT_FALSE(spec.ok());
   EXPECT_NE(spec.status().message().find("nodes"), std::string::npos);
+}
+
+// Integer fields reject values that do not fit them instead of wrapping
+// ("nodes": 4294967297 must not become a 1-node cell). Each case only
+// parses and expands; no job runs.
+TEST(SweepSpecTest, IntegersOutsideTheirFieldAreRejected) {
+  struct Case {
+    const char* field;
+    const char* value;
+    bool accepted;
+  };
+  const Case cases[] = {
+      {"nodes", "4294967295", true},
+      {"nodes", "4294967296", false},
+      {"nodes", "[4, 4294967297]", false},
+      {"max_attempts", "4294967295", true},
+      {"max_attempts", "4294967296", false},
+      {"model_level", "2147483647", true},
+      {"model_level", "2147483648", false},
+      {"model_level", "9223372036854775807", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.field) + ": " + c.value);
+    Result<SweepSpec> spec = SweepSpec::FromJson(ParseJson(
+        StrFormat(R"({"platforms": ["giraph"], "algorithms": ["BFS"],
+                      "graphs": ["uniform:300,1200"], "%s": %s})",
+                  c.field, c.value)));
+    if (!c.accepted) {
+      ASSERT_FALSE(spec.ok());
+      EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(spec.status().message().find(c.field), std::string::npos);
+      continue;
+    }
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    Result<std::vector<SweepJob>> jobs = ExpandSweep(*spec);
+    ASSERT_TRUE(jobs.ok()) << jobs.status();
+    const std::string field = c.field;
+    EXPECT_EQ(field == "nodes"          ? std::to_string(jobs->front().nodes)
+              : field == "max_attempts" ? std::to_string(spec->max_attempts)
+                                        : std::to_string(spec->model_level),
+              c.value);
+  }
+}
+
+// Seeded mutants of examples/sweep_ci.json: flipped bytes, truncations,
+// and inserted separators, keys and out-of-range numbers. Each fails
+// Json::Parse, fails FromJson with InvalidArgument, or parses to a spec
+// whose integers are the text's own (never wrapped) and that ExpandSweep
+// accepts or rejects with InvalidArgument. No job runs.
+TEST(SweepSpecTest, MutatedConfigsFailCleanlyOrKeepTheirIntegers) {
+  std::ifstream in(GRANULA_SWEEP_CI_CONFIG);
+  const std::string seed((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_FALSE(seed.empty());
+  const std::vector<std::string> inserts = {
+      ",", ":", "[", "]", "{", "}", "\"", "0", "-1", "null", "[]",
+      "4294967296", "4294967297", "2147483648", "9223372036854775808",
+      "1e999", R"("nodes": 4294967297,)", R"("max_attempts": 4294967296,)",
+      R"("model_level": 2147483648,)", R"("nodes": [1, 2],)"};
+  Rng rng(26);
+  int parsed = 0, rejected = 0, expanded = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string text = seed;
+    const uint64_t mutations = 1 + rng.NextBounded(3);
+    for (uint64_t m = 0; m < mutations; ++m) {
+      const size_t at = rng.NextBounded(text.size() + 1);
+      switch (rng.NextBounded(3)) {
+        case 0:  // flip a byte
+          if (at < text.size()) {
+            text[at] = static_cast<char>(rng.NextBounded(256));
+          }
+          break;
+        case 1:  // truncate
+          text.resize(at);
+          break;
+        default:
+          text.insert(at, inserts[rng.NextBounded(inserts.size())]);
+          break;
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "round " << round << ": " << text);
+    Result<Json> json = Json::Parse(text);
+    if (!json.ok()) continue;
+    ++parsed;
+    Result<SweepSpec> spec = SweepSpec::FromJson(*json);
+    if (!spec.ok()) {
+      ++rejected;
+      EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument)
+          << spec.status();
+    } else {
+      if (const Json* nodes = json->Find("nodes")) {
+        const Json::Array one = {*nodes};
+        const Json::Array& items = nodes->is_array() ? nodes->AsArray() : one;
+        ASSERT_EQ(spec->node_counts.size(), items.size());
+        for (size_t i = 0; i < items.size(); ++i) {
+          EXPECT_EQ(spec->node_counts[i], items[i].AsInt());
+        }
+      }
+      if (const Json* v = json->Find("max_attempts")) {
+        EXPECT_EQ(spec->max_attempts, v->AsInt());
+      }
+      if (const Json* v = json->Find("model_level")) {
+        EXPECT_EQ(spec->model_level, v->AsInt());
+      }
+      Result<std::vector<SweepJob>> jobs = ExpandSweep(*spec);
+      if (jobs.ok()) {
+        ++expanded;
+      } else {
+        EXPECT_EQ(jobs.status().code(), StatusCode::kInvalidArgument)
+            << jobs.status();
+      }
+    }
+    if (testing::Test::HasFailure()) return;
+  }
+  // Each outcome must have had something to check (with this seed 749
+  // of the 4000 mutants parse, 340 of those fail FromJson, 136 expand).
+  EXPECT_GT(parsed, 500);
+  EXPECT_GT(rejected, 100);
+  EXPECT_GT(expanded, 50);
 }
 
 TEST(SweepSpecTest, FaultEntryWithoutNameIsRejected) {

@@ -739,6 +739,82 @@ TEST(CliTest, FleetFlagErrorsExitSixtyFour) {
   EXPECT_NE(err6.text().find("--webhook"), std::string::npos);
 }
 
+// The two endpoint grammars, --webhook=http://HOST[:PORT][/PATH] and
+// --source=NAME=tcp://HOST:PORT[/PATH], spelling by spelling. The fleet
+// runs against an occupied --port, so an accepted spec gets as far as the
+// bind (exit 1) and a refused one is a usage error (64). An accepted TCP
+// source connects to `feed` before the fleet exits, and its request line
+// shows the path it kept.
+TEST(CliTest, EndpointGrammarTable) {
+  auto occupied = TcpListener::Bind("127.0.0.1", 0);
+  ASSERT_TRUE(occupied.ok()) << occupied.status();
+  auto feed = TcpListener::Bind("127.0.0.1", 0);
+  ASSERT_TRUE(feed.ok()) << feed.status();
+  const std::string port = std::to_string(feed->port());
+  struct Row {
+    std::string flag;
+    int exit_code;
+    std::string target;  // an accepted source's GET target
+  };
+  const std::vector<Row> rows = {
+      {"--webhook=http://127.0.0.1:9100/hook", kExitFatal, ""},
+      {"--webhook=http://127.0.0.1", kExitFatal, ""},  // port 80
+      {"--webhook=http://127.0.0.1/hooks/a?b=c", kExitFatal, ""},
+      {"--webhook=http://127.0.0.1:65535/", kExitFatal, ""},
+      {"--webhook=http://127.0.0.1:/hook", kExitUsage, ""},
+      {"--webhook=http://127.0.0.1:0/hook", kExitUsage, ""},
+      {"--webhook=http://127.0.0.1:65536/hook", kExitUsage, ""},
+      {"--webhook=http://127.0.0.1:80x/hook", kExitUsage, ""},
+      {"--webhook=http://127.0.0.1:-80/hook", kExitUsage, ""},
+      {"--webhook=http://:9100/hook", kExitUsage, ""},
+      {"--webhook=http:///hook", kExitUsage, ""},
+      {"--webhook=https://127.0.0.1/hook", kExitUsage, ""},
+      {"--webhook=ftp://127.0.0.1/hook", kExitUsage, ""},
+      {"--webhook=127.0.0.1:9100/hook", kExitUsage, ""},
+      {"--source=a=tcp://127.0.0.1:" + port, kExitFatal, "/"},
+      {"--source=a=tcp://127.0.0.1:" + port + "/", kExitFatal, "/"},
+      {"--source=a=tcp://127.0.0.1:" + port + "/feeds/a.jsonl", kExitFatal,
+       "/feeds/a.jsonl"},
+      {"--source=a=tcp://127.0.0.1", kExitUsage, ""},  // no default port
+      {"--source=a=tcp://127.0.0.1/feed", kExitUsage, ""},
+      {"--source=a=tcp://127.0.0.1:/feed", kExitUsage, ""},
+      {"--source=a=tcp://127.0.0.1:0", kExitUsage, ""},
+      {"--source=a=tcp://127.0.0.1:65536", kExitUsage, ""},
+      {"--source=a=tcp://127.0.0.1:7o70", kExitUsage, ""},
+      {"--source=a=tcp://:" + port, kExitUsage, ""},
+      {"--source=a=tcp://", kExitUsage, ""},
+      {"--source=a=http://127.0.0.1:" + port, kExitUsage, ""},
+      {"--source=a=https://127.0.0.1:" + port, kExitUsage, ""},
+      {"--source=a=ftp://127.0.0.1:" + port, kExitUsage, ""},
+  };
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    const std::string root = TempPath("endpoint_" + std::to_string(i));
+    Capture out("endpoint_out"), err("endpoint_err");
+    EXPECT_EQ(RunCli({"fleet", "--root=" + root,
+                      "--port=" + std::to_string(occupied->port()), row.flag},
+                     &out, &err),
+              row.exit_code)
+        << row.flag << ": " << err.text();
+    if (row.exit_code == kExitUsage) {
+      const std::string flag = row.flag.substr(0, row.flag.find('='));
+      EXPECT_NE(err.text().find(flag), std::string::npos)
+          << row.flag << ": " << err.text();
+    }
+    if (row.target.empty()) continue;
+    auto follower = feed->Accept(2000);
+    ASSERT_TRUE(follower.ok() && follower->valid()) << row.flag;
+    ASSERT_TRUE(follower->SetTimeouts(1000, 1000).ok());
+    std::string head;
+    while (head.find("\r\n") == std::string::npos &&
+           follower->Read(head) == TcpSocket::ReadOutcome::kData) {
+    }
+    EXPECT_EQ(head.substr(0, head.find("\r\n")),
+              "GET " + row.target + " HTTP/1.1")
+        << row.flag;
+  }
+}
+
 TEST(CliTest, FeedFlagErrorsExitSixtyFour) {
   Capture out1("fd_log_out"), err1("fd_log_err");
   EXPECT_EQ(RunCli({"feed"}, &out1, &err1), kExitUsage);

@@ -26,6 +26,8 @@
 namespace granula::core {
 namespace {
 
+using serve::TcpRecordSource;
+
 PerformanceModel BenchModel() {
   PerformanceModel model("bench");
   (void)model.AddRoot("Job", "Root");

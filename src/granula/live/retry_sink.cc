@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "common/socket.h"
 #include "common/strings.h"
 #include "granula/live/clock.h"
 
@@ -14,84 +13,6 @@
 #endif
 
 namespace granula::core {
-
-Result<HttpUrl> ParseHttpUrl(const std::string& url) {
-  if (!StartsWith(url, "http://")) {
-    return Status::InvalidArgument("webhook URL must start with http://: " +
-                                   url);
-  }
-  std::string_view rest = std::string_view(url).substr(7);
-  HttpUrl out;
-  size_t slash = rest.find('/');
-  std::string_view authority =
-      slash == std::string_view::npos ? rest : rest.substr(0, slash);
-  if (slash != std::string_view::npos) {
-    out.path = std::string(rest.substr(slash));
-  }
-  size_t colon = authority.find(':');
-  if (colon == std::string_view::npos) {
-    out.host = std::string(authority);
-  } else {
-    out.host = std::string(authority.substr(0, colon));
-    Result<uint64_t> port = ParseUint64(authority.substr(colon + 1));
-    if (!port.ok() || *port == 0 || *port > 65535) {
-      return Status::InvalidArgument("bad port in webhook URL: " + url);
-    }
-    out.port = static_cast<int>(*port);
-  }
-  if (out.host.empty()) {
-    return Status::InvalidArgument("missing host in webhook URL: " + url);
-  }
-  return out;
-}
-
-Result<std::unique_ptr<WebhookDelivery>> WebhookDelivery::Open(
-    const std::string& url, int timeout_ms) {
-  GRANULA_ASSIGN_OR_RETURN(HttpUrl parsed, ParseHttpUrl(url));
-  return std::unique_ptr<WebhookDelivery>(
-      new WebhookDelivery(std::move(parsed), url, timeout_ms));
-}
-
-Status WebhookDelivery::Deliver(const std::string& alert_json) {
-  GRANULA_ASSIGN_OR_RETURN(TcpSocket socket,
-                           TcpConnect(url_.host, url_.port, timeout_ms_));
-  GRANULA_RETURN_IF_ERROR(socket.SetTimeouts(timeout_ms_, timeout_ms_));
-  std::string request = StrFormat(
-      "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\n"
-      "Content-Length: %zu\r\nConnection: close\r\n\r\n",
-      url_.path.c_str(), url_.host.c_str(), alert_json.size());
-  request += alert_json;
-  GRANULA_RETURN_IF_ERROR(socket.WriteAll(request));
-  // Only the status line matters; a peer that sends nothing parseable
-  // within the timeout has not accepted the alert.
-  std::string response;
-  while (response.find("\r\n") == std::string::npos) {
-    if (response.size() > 8 * 1024) break;
-    TcpSocket::ReadOutcome outcome = socket.Read(response);
-    if (outcome == TcpSocket::ReadOutcome::kData) continue;
-    if (outcome == TcpSocket::ReadOutcome::kTimeout) {
-      return Status::IoError("webhook response timed out: " + url_text_);
-    }
-    break;  // EOF/error with no full status line
-  }
-  size_t space = response.find(' ');
-  if (!StartsWith(response, "HTTP/") || space == std::string::npos ||
-      space + 3 >= response.size()) {
-    return Status::IoError("webhook sent no HTTP status line: " + url_text_);
-  }
-  Result<uint64_t> code =
-      ParseUint64(std::string_view(response).substr(space + 1, 3));
-  if (!code.ok()) {
-    return Status::IoError("webhook sent a garbled status line: " +
-                           url_text_);
-  }
-  if (*code < 200 || *code >= 300) {
-    return Status::IoError(StrFormat("webhook answered %llu: %s",
-                                     static_cast<unsigned long long>(*code),
-                                     url_text_.c_str()));
-  }
-  return Status::OK();
-}
 
 #ifdef GRANULA_HAVE_POPEN
 namespace {

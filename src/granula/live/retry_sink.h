@@ -16,9 +16,10 @@
 namespace granula::core {
 
 // The network half of AlertSink: delivery targets that can fail — an HTTP
-// webhook, a command hook — wrapped in a retrying queue so an unreachable
-// endpoint degrades to a local dead-letter artifact instead of losing
-// alerts or wedging the monitoring loop.
+// webhook (serve::WebhookDelivery, granula/serve/webhook.h), a command
+// hook — wrapped in a retrying queue so an unreachable endpoint degrades
+// to a local dead-letter artifact instead of losing alerts or wedging the
+// monitoring loop.
 
 // One delivery attempt to an external target. Implementations block at
 // most their own configured timeout and are called from the retry
@@ -30,35 +31,6 @@ class AlertDelivery {
   virtual Status Deliver(const std::string& alert_json) = 0;
   // Endpoint label for counters and dead-letter records.
   virtual std::string describe() const = 0;
-};
-
-// Minimal http:// URL split for the webhook target (no https, no
-// userinfo — the daemon posts inside the cluster).
-struct HttpUrl {
-  std::string host;
-  int port = 80;
-  std::string path = "/";
-};
-Result<HttpUrl> ParseHttpUrl(const std::string& url);
-
-// POSTs each alert to a webhook URL; any response with a 2xx status line
-// counts as delivered, everything else (refused connect, timeout, 5xx,
-// garbage) is a failed attempt.
-class WebhookDelivery : public AlertDelivery {
- public:
-  static Result<std::unique_ptr<WebhookDelivery>> Open(
-      const std::string& url, int timeout_ms = 1000);
-  Status Deliver(const std::string& alert_json) override;
-  std::string describe() const override { return url_text_; }
-
- private:
-  WebhookDelivery(HttpUrl url, std::string url_text, int timeout_ms)
-      : url_(std::move(url)),
-        url_text_(std::move(url_text)),
-        timeout_ms_(timeout_ms) {}
-  HttpUrl url_;
-  std::string url_text_;
-  int timeout_ms_;
 };
 
 // Pipes each alert into a shell command's stdin ("alert hook"); a

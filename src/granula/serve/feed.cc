@@ -13,6 +13,12 @@ namespace granula::serve {
 
 namespace {
 
+// Follower reads per poll: enough to catch up a fast stream (a few MiB
+// per poll) without letting one job monopolize the supervisor loop.
+constexpr int kMaxReadsPerPoll = 64;
+// Follower kernel read deadline — the longest one PollOnce() can block.
+constexpr int kReadTimeoutMs = 10;
+
 // Sleeps `ms` in short naps so Stop() is never held up by a long stall.
 void NapUnless(const std::atomic<bool>& stop, double ms) {
   double left = ms;
@@ -63,11 +69,10 @@ HttpResponse LogFeedService::Handle(const HttpRequest& request) {
 void LogFeedService::Stream(TcpSocket& socket,
                             const std::atomic<bool>& stopping,
                             uint64_t offset, NetFault fault) const {
-  if (!socket
-           .WriteAll("HTTP/1.1 200 OK\r\n"
-                     "Content-Type: application/x-ndjson\r\n"
-                     "Transfer-Encoding: chunked\r\n"
-                     "Connection: keep-alive\r\n\r\n")
+  HttpResponse head;
+  head.content_type = "application/x-ndjson";
+  head.headers.emplace_back("Transfer-Encoding", "chunked");
+  if (!socket.WriteAll(SerializeHttpResponse(head, /*keep_alive=*/true))
            .ok()) {
     return;
   }
@@ -92,10 +97,7 @@ void LogFeedService::Stream(TcpSocket& socket,
           abort_after = true;
         }
         if (!window.empty()) {
-          std::string frame = StrFormat("%zx\r\n", window.size());
-          frame.append(window.data(), window.size());
-          frame += "\r\n";
-          if (!socket.WriteAll(frame).ok()) return;
+          if (!socket.WriteAll(EncodeHttpChunk(window)).ok()) return;
           sent += window.size();
           offset += window.size();
         }
@@ -107,6 +109,121 @@ void LogFeedService::Stream(TcpSocket& socket,
     // thread until the log next grows and the write fails.
     if (socket.PeerClosed()) return;
   }
+}
+
+TcpRecordSource::TcpRecordSource(Options options)
+    : options_(std::move(options)),
+      now_(core::OrSteadyClock(options_.now)),
+      rng_(/*seed=*/1) {}
+
+// Mirrors the --source syntax, tcp://HOST:PORT[/PATH], with the default
+// "/" left implicit.
+std::string TcpRecordSource::describe() const {
+  return StrFormat("tcp://%s:%d%s", options_.host.c_str(), options_.port,
+                   options_.path == "/" ? "" : options_.path.c_str());
+}
+
+bool TcpRecordSource::TryConnect() {
+  Result<TcpSocket> sock =
+      TcpConnect(options_.host, options_.port, options_.connect_timeout_ms);
+  if (!sock.ok()) return false;
+  // Reads bound each poll; writes (the request head) get a generous
+  // fixed deadline so a wedged peer cannot hold the supervisor.
+  (void)sock->SetTimeouts(kReadTimeoutMs, /*send_ms=*/2000);
+  const std::string request = SerializeHttpRequest(
+      "GET", HttpUrl{options_.host, options_.port, options_.path}, "", "",
+      {{"Range", StrFormat("bytes=%llu-",
+                           static_cast<unsigned long long>(offset_))}},
+      /*keep_alive=*/true);
+  if (!sock->WriteAll(request).ok()) return false;
+  socket_ = std::move(*sock);
+  lines_.DropPartial();  // un-consumed tail bytes are re-sent from offset_
+  head_.clear();
+  head_done_ = false;
+  chunks_ = HttpChunkDecoder();
+  ++connects_;
+  if (connects_ > 1) ++reconnects_;
+  return true;
+}
+
+void TcpRecordSource::RecordFailure() {
+  socket_.Close();
+  ++consecutive_failures_;
+  if (options_.disconnect_budget > 0 &&
+      consecutive_failures_ >=
+          static_cast<uint64_t>(options_.disconnect_budget)) {
+    lost_ = true;
+    return;
+  }
+  double delay_ms =
+      core::JitteredBackoffMs(options_.backoff_base_ms,
+                              options_.backoff_cap_ms,
+                              consecutive_failures_ - 1, rng_);
+  next_attempt_s_ = now_() + delay_ms / 1000.0;
+}
+
+bool TcpRecordSource::DecodePayload(std::string_view bytes,
+                                    std::string& payload) {
+  if (!head_done_) {
+    head_.append(bytes);
+    HttpResponseHead head;
+    size_t consumed = 0;
+    Result<bool> parsed = ParseHttpResponseHead(head_, &head, &consumed);
+    if (!parsed.ok()) return false;
+    if (!*parsed) return true;  // the head is still arriving
+    // A 4xx/5xx has nothing streamable behind it.
+    if (head.status != 200) return false;
+    head_done_ = true;
+    bytes = std::string_view(head_).substr(consumed);
+  }
+  Result<bool> going = chunks_.Decode(bytes, &payload);
+  // The terminal chunk means the feed signed off: reconnect like a drop.
+  return going.ok() && *going;
+}
+
+void TcpRecordSource::ProcessPayload(std::string_view payload, Poll& poll) {
+  // Everything that entered and is no longer buffered was consumed —
+  // complete lines plus any dropped oversize junk — so a reconnect
+  // resumes right after it.
+  const size_t entering = lines_.buffered() + payload.size();
+  poll.malformed_lines += lines_.Feed(payload, poll.records);
+  offset_ += entering - lines_.buffered();
+}
+
+core::RecordSource::Poll TcpRecordSource::PollOnce() {
+  Poll poll;
+  if (lost_) return poll;
+  if (!socket_.valid()) {
+    if (now_() < next_attempt_s_) return poll;
+    if (!TryConnect()) {
+      RecordFailure();
+      return poll;
+    }
+  }
+  for (int reads = 0; reads < kMaxReadsPerPoll; ++reads) {
+    std::string bytes;
+    switch (socket_.Read(bytes)) {
+      case TcpSocket::ReadOutcome::kTimeout:
+        return poll;  // nothing new this poll
+      case TcpSocket::ReadOutcome::kData: {
+        std::string payload;
+        if (!DecodePayload(bytes, payload)) {
+          RecordFailure();
+          return poll;
+        }
+        if (!payload.empty()) {
+          consecutive_failures_ = 0;
+          ProcessPayload(payload, poll);
+        }
+        break;
+      }
+      case TcpSocket::ReadOutcome::kEof:
+      case TcpSocket::ReadOutcome::kError:
+        RecordFailure();
+        return poll;
+    }
+  }
+  return poll;
 }
 
 }  // namespace granula::serve

@@ -6,20 +6,24 @@
 #include <functional>
 #include <string>
 
+#include "common/random.h"
 #include "common/socket.h"
+#include "granula/live/clock.h"
+#include "granula/live/record_source.h"
 #include "granula/serve/handler.h"
+#include "granula/serve/http.h"
 
 namespace granula::serve {
 
-// The sending side of the fleet transport: serves one local JSONL log
-// over HTTP to any number of TcpRecordSource followers (`granula feed` is
-// an HttpServer in front of this handler). A follower sends one GET (any
-// path) whose "Range: bytes=<offset>-" header names the resume offset
-// (absent: from the top); the answer is a 200 with Transfer-Encoding:
-// chunked whose chunks carry the log's bytes from that offset on,
-// following the file like `tail -f` until the follower goes away, the
-// file shrinks below the offset, or the server stops. A malformed request
-// or Range gets a 400 instead of a stream.
+// Both ends of the fleet's pull transport. The sending side serves one
+// local JSONL log over HTTP to any number of TcpRecordSource followers
+// (below; `granula feed` is an HttpServer in front of this handler). A
+// follower sends one GET (any path) whose "Range: bytes=<offset>-" header
+// names the resume offset (absent: from the top); the answer is a 200
+// with Transfer-Encoding: chunked whose chunks carry the log's bytes from
+// that offset on, following the file like `tail -f` until the follower
+// goes away, the file shrinks below the offset, or the server stops. A
+// malformed request or Range gets a 400 instead of a stream.
 //
 // Never parses the log; bytes go out as they land in the file, so a torn
 // trailing line is the reader's problem by contract (TcpRecordSource
@@ -57,6 +61,82 @@ class LogFeedService : public HttpHandler {
   NetFaultHook fault_hook_;
   std::atomic<uint64_t> requests_{0};
   TransportCounters transport_;
+};
+
+// The feed's follower: a networked record stream that follows a remote
+// JSONL log served by `granula feed` (or any HTTP server answering the
+// same request) and survives the feed's failures. The client sends
+// "GET <path>" with "Range: bytes=<offset>-", and the server answers 200
+// with Transfer-Encoding: chunked, each chunk carrying raw log bytes from
+// that offset on, forever.
+//
+// Robustness contract, mirroring LogTailer's:
+//  * Lines follow JsonlLineDecoder's rule: a line is consumed only once its
+//    '\n' arrived, a partial line stays buffered across polls (bounded at
+//    JsonlLineDecoder::kMaxLineBytes), and malformed lines are counted and
+//    skipped, never fatal.
+//  * A disconnect (EOF, reset, read error, refused or timed-out connect,
+//    a response other than 200, broken chunk framing, the terminal chunk)
+//    is not fatal: the source reconnects with jittered exponential
+//    backoff and resumes from its consumed-line offset, so no record is
+//    ever delivered twice and none is skipped.
+//  * After `disconnect_budget` consecutive failures without a byte of
+//    payload in between, the source declares itself lost().
+class TcpRecordSource : public core::RecordSource {
+ public:
+  struct Options {
+    std::string host = "127.0.0.1";
+    int port = 0;
+    std::string path = "/";  // request target of the GET
+    int connect_timeout_ms = 1000;
+    // Consecutive failures (connects or disconnects with no payload in
+    // between) before the job is declared lost. <= 0 never gives up.
+    int disconnect_budget = 8;
+    double backoff_base_ms = 50;
+    double backoff_cap_ms = 2000;
+    core::MonotonicClock now;  // injectable for deterministic backoff tests
+  };
+
+  explicit TcpRecordSource(Options options);
+
+  Poll PollOnce() override;
+  bool lost() const override { return lost_; }
+  uint64_t reconnects() const override { return reconnects_; }
+  uint64_t bytes_consumed() const override { return offset_; }
+  std::string describe() const override;
+
+  uint64_t consecutive_failures() const override {
+    return consecutive_failures_;
+  }
+
+ private:
+  bool TryConnect();
+  void RecordFailure();
+  // Transport bytes -> payload bytes: skips the response head, then
+  // de-chunks. Returns false when the stream is broken (a malformed head
+  // or a status other than 200, broken chunk framing, the terminal chunk)
+  // and the connection must drop.
+  bool DecodePayload(std::string_view bytes, std::string& payload);
+  void ProcessPayload(std::string_view payload, Poll& poll);
+
+  Options options_;
+  core::MonotonicClock now_;
+  Rng rng_;
+
+  TcpSocket socket_;
+  bool lost_ = false;
+  uint64_t consecutive_failures_ = 0;
+  uint64_t reconnects_ = 0;  // successful connects after the first
+  uint64_t connects_ = 0;
+  double next_attempt_s_ = 0;
+
+  uint64_t offset_ = 0;  // remote-log bytes no longer buffered in lines_
+  core::JsonlLineDecoder lines_;
+
+  // HTTP framing state, reset per connection.
+  std::string head_;  // the response head received so far
+  bool head_done_ = false;
+  HttpChunkDecoder chunks_;
 };
 
 }  // namespace granula::serve

@@ -2,6 +2,7 @@
 #define GRANULA_GRANULA_SERVE_HTTP_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -16,12 +17,16 @@ class TcpSocket;
 
 namespace granula::serve {
 
-// HTTP/1.1 request/response types and a blocking-free incremental parser
-// for the embedded archive server. Scope is deliberately the subset the
-// daemon needs: GET/HEAD with headers and optional small bodies, no
-// chunked transfer encoding, no multipart. Limits keep a hostile or
-// confused client from ballooning memory: 16 KiB of headers, 1 MiB of
-// body.
+// The one module that frames and parses HTTP/1.1, for both ends of every
+// connection: the daemons' request parser and response serializer, and
+// the client side the feed follower (TcpRecordSource) and the alert
+// webhook (WebhookDelivery) use — a request serializer, an incremental
+// response-head parser, the chunk-frame codec of the log feed, and the
+// endpoint parser of --webhook and --source. Scope is deliberately the
+// subset those need: requests carry small Content-Length bodies (no
+// chunked uploads, no multipart), and only the feed streams chunked.
+// Limits keep a hostile or confused peer from ballooning memory: 16 KiB
+// of headers, 1 MiB of request body.
 
 inline constexpr size_t kMaxHeaderBytes = 16 * 1024;
 inline constexpr size_t kMaxBodyBytes = 1024 * 1024;
@@ -52,7 +57,8 @@ struct HttpResponse {
   std::string body;
   // Streaming routes (the log feed) set this instead of a body: after
   // routing, the server hands the connection to it and closes it when it
-  // returns. It writes its own status line and headers, and should return
+  // returns. It writes its own head (SerializeHttpResponse of a response
+  // whose Transfer-Encoding header frames the body), and should return
   // soon after `stopping` turns true so a drain is not held up.
   std::function<void(TcpSocket& socket, const std::atomic<bool>& stopping)>
       stream;
@@ -83,6 +89,62 @@ std::map<std::string, std::string> ParseQueryString(std::string_view s);
 
 // Canonical reason phrase for `status` ("Not Found", ...).
 std::string_view HttpStatusReason(int status);
+
+// ------------------------------------------------------- client side ----
+
+// A peer's address, "SCHEME://HOST[:PORT][/PATH]"; no userinfo, no https.
+struct HttpUrl {
+  std::string host;
+  int port = 80;
+  std::string path = "/";  // the request target, leading '/' kept
+};
+
+// Parses `url`, which must start with `scheme` ("http://" for --webhook,
+// "tcp://" for --source). The host runs to the first ':' or '/' and must
+// not be empty; the port is 1..65535, `default_port` when absent (0: the
+// port is required).
+Result<HttpUrl> ParseHttpUrl(std::string_view url,
+                             std::string_view scheme = "http://",
+                             int default_port = 80);
+
+// A client request for `url`: request line, Host, Content-Type when given,
+// Content-Length when `body` is not empty, `headers`, Connection, body.
+std::string SerializeHttpRequest(
+    std::string_view method, const HttpUrl& url, std::string_view content_type,
+    std::string_view body,
+    const std::vector<std::pair<std::string, std::string>>& headers,
+    bool keep_alive);
+
+struct HttpResponseHead {
+  int status = 0;
+  std::map<std::string, std::string> headers;  // as in HttpRequest
+};
+
+// ParseHttpRequest's counterpart for a response's status line and headers:
+// false until the blank line arrived, then true with `*consumed` the head's
+// bytes; a Status for a malformed head or one over 16 KiB.
+Result<bool> ParseHttpResponseHead(std::string_view buffer,
+                                   HttpResponseHead* out, size_t* consumed);
+
+// One frame of a chunked body: hex size, CRLF, `data` (not empty), CRLF.
+std::string EncodeHttpChunk(std::string_view data);
+
+// Decodes a chunked body from transport bytes as they arrive.
+class HttpChunkDecoder {
+ public:
+  static constexpr size_t kMaxSizeLineBytes = 64;  // extensions included
+
+  // Appends the chunk data in `bytes` to `*payload`: true while the body
+  // goes on, false after the terminal chunk, a Status for broken framing
+  // (a size line that is not hex digits plus an optional ";extension", a
+  // size past 64 bits, data not followed by CRLF). Either ends the body.
+  Result<bool> Decode(std::string_view bytes, std::string* payload);
+
+ private:
+  std::string pending_;     // an incomplete size line or CRLF
+  uint64_t remaining_ = 0;  // data bytes of the current chunk still due
+  bool need_crlf_ = false;  // the current chunk's CRLF is still due
+};
 
 }  // namespace granula::serve
 

@@ -30,6 +30,7 @@
 #include "granula/monitor/job_logger.h"
 #include "granula/serve/feed.h"
 #include "granula/serve/server.h"
+#include "granula/serve/webhook.h"
 #include "graph/generators.h"
 #include "platforms/powergraph.h"
 #include "sim/faults.h"
@@ -38,6 +39,8 @@ namespace granula::core {
 namespace {
 
 using platform::JobConfig;
+using serve::TcpRecordSource;
+using serve::WebhookDelivery;
 
 std::string FreshDir(const std::string& name) {
   std::string dir = testing::TempDir() + "/chaos_" + name;

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "common/socket.h"
-#include "common/strings.h"
 #include "granula/archive/archiver.h"
 #include "granula/archive/repository.h"
 #include "granula/live/alert_sink.h"
@@ -30,12 +29,14 @@
 #include "granula/serve/fleet_service.h"
 #include "granula/serve/server.h"
 #include "graph/generators.h"
+#include "http_client.h"
 #include "platforms/powergraph.h"
 
 namespace granula::core {
 namespace {
 
 using platform::JobConfig;
+using serve::TcpRecordSource;
 
 std::string FreshDir(const std::string& name) {
   std::string dir = testing::TempDir() + "/fleet_" + name;
@@ -501,11 +502,7 @@ TEST(FleetSupervisorTest, ArchiveCopiesOutliveFinalizationAndTheSupervisor) {
 
 // ------------------------------------------------ HTTP face ------------
 
-struct ClientResponse {
-  int status = 0;
-  std::map<std::string, std::string> headers;
-  std::string body;
-};
+using serve::ClientResponse;
 
 Result<ClientResponse> Roundtrip(int port, const std::string& method,
                                  const std::string& target,
@@ -513,46 +510,10 @@ Result<ClientResponse> Roundtrip(int port, const std::string& method,
   GRANULA_ASSIGN_OR_RETURN(TcpSocket socket,
                            TcpConnect("127.0.0.1", port, 2000));
   GRANULA_RETURN_IF_ERROR(socket.SetTimeouts(5000, 5000));
-  std::string request = method + " " + target + " HTTP/1.1\r\n";
-  request += "Host: test\r\nConnection: close\r\n";
-  request += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
-  request += body;
-  GRANULA_RETURN_IF_ERROR(socket.WriteAll(request));
-
-  std::string buffer;
-  size_t header_end = std::string::npos;
-  while ((header_end = buffer.find("\r\n\r\n")) == std::string::npos) {
-    if (socket.Read(buffer) != TcpSocket::ReadOutcome::kData) {
-      return Status::IoError("connection closed before response headers");
-    }
-  }
-  ClientResponse response;
-  std::vector<std::string> lines = StrSplit(buffer.substr(0, header_end),
-                                            '\n');
-  if (lines.empty() || lines[0].rfind("HTTP/1.1 ", 0) != 0) {
-    return Status::Corruption("bad status line");
-  }
-  response.status = std::atoi(lines[0].c_str() + 9);
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::string_view line = StrTrim(lines[i]);
-    size_t colon = line.find(':');
-    if (colon == std::string_view::npos) continue;
-    std::string name(line.substr(0, colon));
-    for (char& c : name) c = static_cast<char>(std::tolower(c));
-    response.headers[name] = std::string(StrTrim(line.substr(colon + 1)));
-  }
-  size_t body_len = 0;
-  auto it = response.headers.find("content-length");
-  if (it != response.headers.end()) {
-    body_len = static_cast<size_t>(std::atoll(it->second.c_str()));
-  }
-  while (buffer.size() < header_end + 4 + body_len) {
-    if (socket.Read(buffer) != TcpSocket::ReadOutcome::kData) {
-      return Status::IoError("connection closed mid-body");
-    }
-  }
-  response.body = buffer.substr(header_end + 4, body_len);
-  return response;
+  GRANULA_RETURN_IF_ERROR(socket.WriteAll(serve::SerializeHttpRequest(
+      method, serve::HttpUrl{"127.0.0.1", port, target}, "", body, {},
+      /*keep_alive=*/false)));
+  return serve::ReadResponse(socket);
 }
 
 Json MustParse(const std::string& text) {

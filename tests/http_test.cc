@@ -173,6 +173,31 @@ bool ExpectSaneAcceptance(const std::string& buffer,
   return true;
 }
 
+// One of `seeds` with one to four random edits: a flipped byte, a
+// truncation, or one of `inserts` spliced in.
+std::string Mutate(const std::vector<std::string>& seeds,
+                   const std::vector<std::string>& inserts, Rng& rng) {
+  std::string buffer = seeds[rng.NextBounded(seeds.size())];
+  const uint64_t mutations = 1 + rng.NextBounded(4);
+  for (uint64_t m = 0; m < mutations; ++m) {
+    const size_t at = rng.NextBounded(buffer.size() + 1);
+    switch (rng.NextBounded(3)) {
+      case 0:  // flip a byte
+        if (at < buffer.size()) {
+          buffer[at] = static_cast<char>(rng.NextBounded(256));
+        }
+        break;
+      case 1:  // truncate
+        buffer.resize(at);
+        break;
+      default:  // insert framing bytes or a hostile header
+        buffer.insert(at, inserts[rng.NextBounded(inserts.size())]);
+        break;
+    }
+  }
+  return buffer;
+}
+
 TEST(HttpParseTest, MutatedRequestsNeverCrashOrOverreach) {
   const std::vector<std::string> seeds = {
       "GET /archives?platform=giraph&status=complete HTTP/1.1\r\n"
@@ -190,29 +215,79 @@ TEST(HttpParseTest, MutatedRequestsNeverCrashOrOverreach) {
   Rng rng(18);
   int accepted = 0;
   for (int round = 0; round < 20000; ++round) {
-    std::string buffer = seeds[rng.NextBounded(seeds.size())];
-    const uint64_t mutations = 1 + rng.NextBounded(4);
-    for (uint64_t m = 0; m < mutations; ++m) {
-      const size_t at = rng.NextBounded(buffer.size() + 1);
-      switch (rng.NextBounded(3)) {
-        case 0:  // flip a byte
-          if (at < buffer.size()) {
-            buffer[at] = static_cast<char>(rng.NextBounded(256));
-          }
-          break;
-        case 1:  // truncate
-          buffer.resize(at);
-          break;
-        default:  // insert framing bytes or a hostile header
-          buffer.insert(at, inserts[rng.NextBounded(inserts.size())]);
-          break;
-      }
-    }
+    const std::string buffer = Mutate(seeds, inserts, rng);
     SCOPED_TRACE(testing::Message() << "round " << round);
     if (ExpectSaneAcceptance(buffer)) ++accepted;
     if (testing::Test::HasFailure()) return;
   }
   // The acceptance checks must have had something to check.
+  EXPECT_GT(accepted, 1000);
+}
+
+// The client side's counterpart of ExpectSaneAcceptance, for a response
+// head and the chunked body behind it: an accepted head stayed inside the
+// buffer, its status has three digits, and every proper prefix asks for
+// more bytes. The body decodes the same whole or byte by byte, and never
+// yields more payload than it had bytes. Returns whether the head was
+// accepted.
+bool ExpectSaneResponse(const std::string& buffer) {
+  HttpResponseHead head;
+  size_t consumed = 0;
+  auto parsed = ParseHttpResponseHead(buffer, &head, &consumed);
+  if (!parsed.ok() || !*parsed) return false;
+  EXPECT_LE(consumed, buffer.size());
+  EXPECT_TRUE(head.status >= 0 && head.status <= 999) << head.status;
+  for (size_t n = 0; n < consumed; ++n) {
+    HttpResponseHead partial;
+    size_t partial_consumed = 0;
+    auto prefix = ParseHttpResponseHead(std::string_view(buffer).substr(0, n),
+                                        &partial, &partial_consumed);
+    EXPECT_TRUE(prefix.ok() && !*prefix)
+        << "prefix of " << n << " of " << consumed << " bytes: "
+        << (prefix.ok() ? "accepted" : prefix.status().ToString());
+  }
+
+  const std::string_view body = std::string_view(buffer).substr(consumed);
+  HttpChunkDecoder whole;
+  std::string whole_payload;
+  Result<bool> whole_going = whole.Decode(body, &whole_payload);
+  HttpChunkDecoder trickle;
+  std::string trickle_payload;
+  Result<bool> trickle_going = true;
+  for (size_t i = 0; i < body.size() && trickle_going.ok() && *trickle_going;
+       ++i) {
+    trickle_going = trickle.Decode(body.substr(i, 1), &trickle_payload);
+  }
+  EXPECT_EQ(whole_going.ok(), trickle_going.ok());
+  if (whole_going.ok() && trickle_going.ok()) {
+    EXPECT_EQ(*whole_going, *trickle_going);
+  }
+  EXPECT_EQ(whole_payload, trickle_payload);
+  EXPECT_LE(whole_payload.size(), body.size());
+  return true;
+}
+
+TEST(HttpParseTest, MutatedResponsesNeverCrashOrOverreach) {
+  const std::vector<std::string> seeds = {
+      "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+      "Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n"
+      "5\r\nab\ncd\r\n3;x=y\r\nef\n\r\n",
+      "HTTP/1.1 200 OK\r\n\r\n1a\r\nabcdefghijklmnopqrstuvwxyz\r\n0\r\n\r\n",
+      "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n",
+      "HTTP/1.0 503\r\n\r\n",
+  };
+  const std::vector<std::string> inserts = {
+      "\r", "\n", "\r\n", ":", "\r\n\r\n", " ", ";", "-", "+", "0x",
+      "-1\r\n", "ffffffffffffffff", "10000000000000000", "0\r\n\r\n",
+      "HTTP/1.1 ", std::string(70, 'f')};
+  Rng rng(28);
+  int accepted = 0;
+  for (int round = 0; round < 20000; ++round) {
+    const std::string buffer = Mutate(seeds, inserts, rng);
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    if (ExpectSaneResponse(buffer)) ++accepted;
+    if (testing::Test::HasFailure()) return;
+  }
   EXPECT_GT(accepted, 1000);
 }
 
@@ -257,6 +332,59 @@ TEST(HttpSerializeTest, ReasonPhrases) {
   EXPECT_EQ(HttpStatusReason(404), "Not Found");
   EXPECT_EQ(HttpStatusReason(408), "Request Timeout");
   EXPECT_EQ(HttpStatusReason(503), "Service Unavailable");
+}
+
+TEST(HttpClientTest, ResponseHeadParsesStatusAndHeaders) {
+  const std::string wire =
+      "HTTP/1.1 503 Service Unavailable\r\nRetry-After:  1 \r\n\r\nrest";
+  HttpResponseHead head;
+  size_t consumed = 0;
+  auto parsed = ParseHttpResponseHead(wire, &head, &consumed);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_TRUE(*parsed);
+  EXPECT_EQ(head.status, 503);
+  EXPECT_EQ(head.headers["retry-after"], "1");
+  EXPECT_EQ(consumed, wire.size() - 4);
+
+  for (const char* bad :
+       {"HTTP/2 200 OK\r\n\r\n", "HTTP/1.1 20 OK\r\n\r\n",
+        "HTTP/1.1 2000 OK\r\n\r\n", "HTTP/1.1 -20 OK\r\n\r\n",
+        "ICY 200 OK\r\n\r\n", "HTTP/1.1 200 OK\r\nno colon\r\n\r\n"}) {
+    EXPECT_FALSE(ParseHttpResponseHead(bad, &head, &consumed).ok()) << bad;
+  }
+  std::string huge = "HTTP/1.1 200 OK\r\nX-Pad: ";
+  huge.append(kMaxHeaderBytes, 'a');
+  EXPECT_FALSE(ParseHttpResponseHead(huge, &head, &consumed).ok());
+}
+
+// The size line is hex digits, then nothing or a ";extension". A sign
+// would otherwise turn "-1" into a 2^64-1 byte chunk that swallows the
+// rest of the stream as payload.
+TEST(HttpClientTest, ChunkSizeLineIsHexDigitsOnly) {
+  auto decode = [](const std::string& wire, std::string* payload) {
+    HttpChunkDecoder decoder;
+    return decoder.Decode(wire, payload);
+  };
+  std::string payload;
+  auto extension = decode("5;name=value\r\nhello\r\n", &payload);
+  ASSERT_TRUE(extension.ok() && *extension) << extension.status();
+  EXPECT_EQ(payload, "hello");
+  auto upper = decode("1A\r\n" + std::string(26, 'z') + "\r\n", &payload);
+  EXPECT_TRUE(upper.ok() && *upper);
+  auto terminal = decode("0\r\n\r\n", &payload);
+  EXPECT_TRUE(terminal.ok() && !*terminal);
+  for (const char* bad :
+       {"-1\r\nrest of the stream\n", "+5\r\nhello\r\n", " 5\r\nhello\r\n",
+        "0x5\r\nhello\r\n", "5 \r\nhello\r\n", "5junk\r\nhello\r\n",
+        "\r\nhello\r\n", "10000000000000000\r\n", "5\r\nhelloXX"}) {
+    std::string swallowed;
+    EXPECT_FALSE(decode(bad, &swallowed).ok()) << bad;
+    EXPECT_LE(swallowed.size(), 5u) << bad;
+  }
+  // A size line that never ends is refused once it passes the limit.
+  std::string endless(HttpChunkDecoder::kMaxSizeLineBytes + 1, '0');
+  EXPECT_TRUE(decode(endless, &payload).ok());
+  EXPECT_FALSE(decode(endless + "0", &payload).ok());
 }
 
 TEST(HttpUrlDecodeTest, MalformedEscapesKeptLiterally) {

@@ -8,6 +8,7 @@
 
 #include "granula/live/record_source.h"
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -33,6 +34,7 @@ using platform::JobResult;
 using serve::HttpServer;
 using serve::LogFeedService;
 using serve::ServerOptions;
+using serve::TcpRecordSource;
 
 std::string FreshPath(const std::string& name) {
   std::string path = testing::TempDir() + "/record_source_" + name + ".jsonl";
@@ -229,6 +231,52 @@ TEST(TcpRecordSourceTest, DisconnectBudgetDeclaresTheSourceLost) {
   EXPECT_GE(source.consecutive_failures(), 3u);
   // Lost is terminal: polling a lost source stays empty and cheap.
   EXPECT_TRUE(source.PollOnce().records.empty());
+}
+
+// A chunk size with a sign is broken framing, not a 2^64-1 byte chunk
+// that passes the rest of the stream off as payload: the follower drops
+// the connection and, out of budget, declares the source lost without
+// delivering the record behind the bad size line.
+TEST(TcpRecordSourceTest, SignedChunkSizeIsABrokenStream) {
+  std::string record_line;
+  RealJobRecords().front().AppendJsonl(record_line);
+  record_line.push_back('\n');
+  auto listener = TcpListener::Bind("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  std::atomic<bool> stop{false};
+  std::thread feed([&] {
+    std::vector<TcpSocket> open;  // held, so only the framing can fail
+    while (!stop.load()) {
+      auto socket = listener->Accept(20);
+      if (!socket.ok() || !socket->valid()) continue;
+      (void)socket->SetTimeouts(1000, 1000);
+      std::string request;
+      while (request.find("\r\n\r\n") == std::string::npos &&
+             socket->Read(request) == TcpSocket::ReadOutcome::kData) {
+      }
+      (void)socket->WriteAll(
+          "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-1\r\n" +
+          record_line);
+      open.push_back(std::move(*socket));
+    }
+  });
+
+  TcpRecordSource::Options options;
+  options.port = listener->port();
+  options.disconnect_budget = 2;
+  double fake_now = 0;
+  options.now = [&fake_now] { return fake_now += 1000.0; };
+  TcpRecordSource source(options);
+  std::vector<LogRecord> streamed;
+  uint64_t malformed = 0;
+  Drain(source, 1, streamed, malformed, /*deadline_ms=*/5000);
+  stop.store(true);
+  feed.join();
+
+  EXPECT_TRUE(source.lost());
+  EXPECT_TRUE(streamed.empty());
+  EXPECT_EQ(malformed, 0u);
+  EXPECT_EQ(source.bytes_consumed(), 0u);
 }
 
 TEST(TcpRecordSourceTest, OversizedPartialLineIsBoundedAndCounted) {

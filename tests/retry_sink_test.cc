@@ -18,9 +18,13 @@
 #include "common/socket.h"
 #include "common/strings.h"
 #include "granula/live/alert_sink.h"
+#include "granula/serve/webhook.h"
 
 namespace granula::core {
 namespace {
+
+using serve::ParseHttpUrl;
+using serve::WebhookDelivery;
 
 std::string FreshPath(const std::string& name) {
   std::string path = testing::TempDir() + "/retry_sink_" + name + ".jsonl";

@@ -5,9 +5,7 @@
 #include "granula/serve/server.h"
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -20,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "common/socket.h"
-#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "granula/archive/archiver.h"
 #include "granula/archive/gba.h"
@@ -29,6 +26,7 @@
 #include "granula/model/performance_model.h"
 #include "granula/monitor/job_logger.h"
 #include "granula/serve/service.h"
+#include "http_client.h"
 
 namespace granula::serve {
 namespace {
@@ -79,54 +77,6 @@ class WallClockGuard {
 };
 
 // ----------------------------------------------------- HTTP client ------
-
-struct ClientResponse {
-  int status = 0;
-  std::map<std::string, std::string> headers;  // lowercased names
-  std::string body;
-};
-
-// Reads one full response off `socket` (Content-Length framing, matching
-// what the server emits).
-Result<ClientResponse> ReadResponse(TcpSocket& socket) {
-  std::string buffer;
-  size_t header_end = std::string::npos;
-  while ((header_end = buffer.find("\r\n\r\n")) == std::string::npos) {
-    auto outcome = socket.Read(buffer);
-    if (outcome != TcpSocket::ReadOutcome::kData) {
-      return Status::IoError("connection closed before response headers");
-    }
-  }
-  ClientResponse response;
-  const std::string head = buffer.substr(0, header_end);
-  const std::vector<std::string> lines = StrSplit(head, '\n');
-  if (lines.empty() || lines[0].rfind("HTTP/1.1 ", 0) != 0) {
-    return Status::Corruption("bad status line: " + head);
-  }
-  response.status = std::atoi(lines[0].c_str() + 9);
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::string_view line = StrTrim(lines[i]);
-    size_t colon = line.find(':');
-    if (colon == std::string_view::npos) continue;
-    std::string name(line.substr(0, colon));
-    for (char& c : name) c = static_cast<char>(std::tolower(c));
-    response.headers[name] = std::string(StrTrim(line.substr(colon + 1)));
-  }
-  size_t body_len = 0;
-  auto it = response.headers.find("content-length");
-  if (it != response.headers.end()) {
-    body_len = static_cast<size_t>(std::atoll(it->second.c_str()));
-  }
-  const size_t body_start = header_end + 4;
-  while (buffer.size() < body_start + body_len) {
-    auto outcome = socket.Read(buffer);
-    if (outcome != TcpSocket::ReadOutcome::kData) {
-      return Status::IoError("connection closed mid-body");
-    }
-  }
-  response.body = buffer.substr(body_start, body_len);
-  return response;
-}
 
 Result<ClientResponse> Fetch(int port, const std::string& target,
                              const std::vector<std::string>& headers = {},

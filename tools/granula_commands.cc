@@ -26,6 +26,7 @@
 #include "granula/serve/feed.h"
 #include "granula/serve/fleet_service.h"
 #include "granula/serve/server.h"
+#include "granula/serve/webhook.h"
 #include "granula/live/fleet.h"
 #include "granula/live/record_source.h"
 #include "granula/live/retry_sink.h"
@@ -808,53 +809,30 @@ Result<int> CmdServe(const Flags& flags, std::FILE* out, std::FILE* err) {
 // header that carries its resume offset.
 Result<std::pair<std::string, std::unique_ptr<core::RecordSource>>>
 ParseSourceSpec(const std::string& spec, int reconnect_budget) {
-  size_t eq = spec.find('=');
-  if (eq == std::string::npos || eq == 0) {
+  auto bad = [&spec](const std::string& why) {
     return Status::InvalidArgument(
-        "bad --source '" + spec +
-        "' (expected NAME=file:PATH or NAME=tcp://HOST:PORT[/PATH])");
+        "bad --source '" + spec + "'" + why +
+        " (expected NAME=file:PATH or NAME=tcp://HOST:PORT[/PATH])");
+  };
+  const size_t eq = spec.find('=');
+  if (eq == std::string::npos || eq == 0) return bad("");
+  const std::string target = spec.substr(eq + 1);
+  std::unique_ptr<core::RecordSource> source;
+  if (StartsWith(target, "file:")) {
+    if (target.size() == 5) return bad(": empty file path");
+    source = std::make_unique<core::FileRecordSource>(target.substr(5));
+  } else {
+    Result<serve::HttpUrl> url =
+        serve::ParseHttpUrl(target, "tcp://", /*default_port=*/0);
+    if (!url.ok()) return bad(": " + url.status().message());
+    serve::TcpRecordSource::Options options;
+    options.host = url->host;
+    options.port = url->port;
+    options.path = url->path;
+    options.disconnect_budget = reconnect_budget;
+    source = std::make_unique<serve::TcpRecordSource>(std::move(options));
   }
-  std::string name = spec.substr(0, eq);
-  std::string target = spec.substr(eq + 1);
-  if (target.rfind("file:", 0) == 0) {
-    std::string path = target.substr(5);
-    if (path.empty()) {
-      return Status::InvalidArgument("bad --source '" + spec +
-                                     "': empty file path");
-    }
-    return std::make_pair(std::move(name),
-                          std::unique_ptr<core::RecordSource>(
-                              std::make_unique<core::FileRecordSource>(path)));
-  }
-  if (target.rfind("tcp://", 0) != 0) {
-    return Status::InvalidArgument(
-        "bad --source '" + spec +
-        "' (expected NAME=file:PATH or NAME=tcp://HOST:PORT[/PATH])");
-  }
-  std::string rest = target.substr(6);
-  core::TcpRecordSource::Options options;
-  size_t slash = rest.find('/');
-  if (slash != std::string::npos) {
-    options.path = rest.substr(slash);  // keep the leading '/'
-    rest = rest.substr(0, slash);
-  }
-  size_t colon = rest.rfind(':');
-  if (colon == std::string::npos || colon == 0) {
-    return Status::InvalidArgument("bad --source '" + spec +
-                                   "': expected HOST:PORT");
-  }
-  Result<uint64_t> port = ParseUint64(rest.substr(colon + 1));
-  if (!port.ok() || *port == 0 || *port > 65535) {
-    return Status::InvalidArgument("bad --source '" + spec +
-                                   "': bad port '" + rest.substr(colon + 1) +
-                                   "'");
-  }
-  options.host = rest.substr(0, colon);
-  options.port = static_cast<int>(*port);
-  options.disconnect_budget = reconnect_budget;
-  return std::make_pair(std::move(name),
-                        std::unique_ptr<core::RecordSource>(
-                            std::make_unique<core::TcpRecordSource>(options)));
+  return std::make_pair(spec.substr(0, eq), std::move(source));
 }
 
 // granula fleet — the multi-job supervisor daemon: follows streamed logs
@@ -905,8 +883,8 @@ Result<int> CmdFleet(const Flags& flags, std::FILE* out, std::FILE* err) {
   // optional local JSONL log. Delivery counters surface on /stats.
   std::vector<std::shared_ptr<core::RetryingAlertSink>> retry_sinks;
   for (const std::string& url : flags.GetAll("webhook")) {
-    Result<std::unique_ptr<core::WebhookDelivery>> delivery =
-        core::WebhookDelivery::Open(url, alert_timeout_ms);
+    Result<std::unique_ptr<serve::WebhookDelivery>> delivery =
+        serve::WebhookDelivery::Open(url, alert_timeout_ms);
     if (!delivery.ok()) {
       std::fprintf(err, "granula fleet: bad --webhook '%s': %s\n",
                    url.c_str(), delivery.status().ToString().c_str());
